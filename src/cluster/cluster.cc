@@ -1,58 +1,26 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "src/check/invariant_checker.h"
 #include "src/cluster/router.h"
-#include "src/metrics/freq_hist.h"
 #include "src/metrics/latency.h"
 #include "src/metrics/stats.h"
-#include "src/metrics/underload.h"
-#include "src/obs/perfetto_trace.h"
 #include "src/workloads/requests.h"
 
 namespace nestsim {
 
 ClusterModel::ClusterModel(DomainGroup* group, const ExperimentConfig& config, int machines) {
-  const MachineSpec& spec = MachineByName(config.machine);
   machines_.reserve(static_cast<size_t>(machines));
   for (int m = 0; m < machines; ++m) {
-    machines_.push_back(std::make_unique<MachineModel>(&group->domain(m), spec, config));
-  }
-  for (const auto& machine : machines_) {
-    kernels_.push_back(&machine->kernel);
-    hardware_.push_back(&machine->hw);
+    machines_.push_back(std::make_unique<MachineRun>(&group->domain(m), config, m));
+    kernels_.push_back(&machines_.back()->kernel);
+    hardware_.push_back(&machines_.back()->hw);
   }
 }
 
 namespace {
-
-// Per-tag/per-machine last task exit (the same observer RunExperiment uses).
-class CompletionObserver : public KernelObserver {
- public:
-  uint32_t InterestMask() const override { return kObsTaskExit; }
-
-  void OnTaskExit(SimTime now, const Task& task) override {
-    last_exit_ = std::max(last_exit_, now);
-    auto [it, inserted] = tag_last_exit_.try_emplace(task.tag, now);
-    if (!inserted) {
-      it->second = std::max(it->second, now);
-    }
-  }
-
-  SimTime last_exit() const { return last_exit_; }
-  const std::map<int, SimDuration>& tag_last_exit() const { return tag_last_exit_; }
-
- private:
-  SimTime last_exit_ = 0;
-  std::map<int, SimDuration> tag_last_exit_;
-};
 
 // Progress of one injected request-part *copy* (parts map 1:1 to copies
 // unless fault.replicas spreads each part across machines), shared between
@@ -124,25 +92,6 @@ class RequestTracker : public KernelObserver {
   ExitFn exit_fn_;
 };
 
-std::string TraceDir(const ExperimentConfig& config) {
-  if (!config.trace_dir.empty()) {
-    return config.trace_dir;
-  }
-  const char* env = std::getenv("NESTSIM_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
-std::string SanitizeStem(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    out += ok ? c : '-';
-  }
-  return out;
-}
-
 }  // namespace
 
 ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const ExperimentConfig& config,
@@ -160,57 +109,22 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   }
 
   // One PDES domain per machine plus the coordinator timeline for arrivals
-  // and reaps (src/sim/parallel.h). Serial runs (workers = 0) execute the
-  // merged reference loop; worker pools execute conservative windows between
-  // coordinator events. Both produce the canonical event order, so the
-  // digest is identical at any worker count.
+  // and reaps; the digest is identical at any worker count.
   const int n = cluster.machines;
   DomainGroup group(n);
-  const MachineSpec& spec = MachineByName(config.machine);
   ClusterModel model(&group, config, n);
 
-  // Per-machine observers, mirroring RunExperiment's set so a 1-machine
-  // cluster measures exactly what the single-machine path measures.
+  // The standard observer set rides on every MachineRun; the fleet adds one
+  // request tracker per machine.
   std::vector<PartProgress> progress;
-  std::vector<CompletionObserver> completion(static_cast<size_t>(n));
-  std::vector<std::unique_ptr<UnderloadTracker>> underload;
-  std::vector<std::unique_ptr<FreqResidencyTracker>> freq;
-  std::vector<std::unique_ptr<SchedCounterRecorder>> counters;
   std::vector<std::unique_ptr<RequestTracker>> trackers;
-  std::vector<std::unique_ptr<PerfettoTraceWriter>> perfetto;
-  std::vector<std::unique_ptr<WakeupLatencyTracker>> latency;
-  std::vector<std::unique_ptr<InvariantChecker>> checkers;
-  std::vector<std::unique_ptr<ResilienceRecorder>> resilience;
-  const std::string trace_dir = TraceDir(config);
-  const bool check = CheckInvariantsEnabled(config);
+  std::vector<MachineRun*> machines;
   for (int m = 0; m < n; ++m) {
     Kernel& kernel = model.machine(m).kernel;
-    kernel.AddObserver(&completion[static_cast<size_t>(m)]);
-    underload.push_back(std::make_unique<UnderloadTracker>(&kernel, config.record_underload_series));
-    kernel.AddObserver(underload.back().get());
-    freq.push_back(std::make_unique<FreqResidencyTracker>(&kernel, FreqBucketEdgesFor(spec)));
-    kernel.AddObserver(freq.back().get());
-    counters.push_back(std::make_unique<SchedCounterRecorder>(&kernel));
-    kernel.AddObserver(counters.back().get());
     trackers.push_back(std::make_unique<RequestTracker>(&progress));
     kernel.AddObserver(trackers.back().get());
-    if (!trace_dir.empty()) {
-      perfetto.push_back(std::make_unique<PerfettoTraceWriter>(&kernel));
-      kernel.AddObserver(perfetto.back().get());
-    }
-    if (config.record_latency) {
-      latency.push_back(std::make_unique<WakeupLatencyTracker>());
-      kernel.AddObserver(latency.back().get());
-    }
-    if (check) {
-      checkers.push_back(std::make_unique<InvariantChecker>(&kernel));
-      kernel.AddObserver(checkers.back().get());
-    }
-    if (config.fault.any()) {
-      resilience.push_back(std::make_unique<ResilienceRecorder>());
-      kernel.AddObserver(resilience.back().get());
-    }
     kernel.Start();
+    machines.push_back(&model.machine(m));
   }
 
   // Same stream the single-machine Setup path uses: one Fork() off the seed.
@@ -223,8 +137,6 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   const int quorum = std::min(std::max(1, config.fault.quorum), replicas);
   progress.resize(plan.parts.size() * static_cast<size_t>(replicas));
 
-  const int cpus_per_machine = model.machine(0).hw.topology().num_cpus();
-
   // The fault plan is drawn after the traffic plan from a forked generator —
   // second fork off the seed, exactly like the single-machine path — so
   // enabling faults perturbs no workload draw. Each machine replays its own
@@ -235,7 +147,8 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   std::vector<std::unique_ptr<FaultInjector>> injectors;
   if (config.fault.enabled()) {
     Rng fault_rng = rng.Fork();
-    fault_plan = BuildFaultPlan(config.fault, fault_rng, n, cpus_per_machine, config.time_limit);
+    fault_plan = BuildFaultPlan(config.fault, fault_rng, n,
+                                model.machine(0).hw.topology().num_cpus(), config.time_limit);
     for (int m = 0; m < n; ++m) {
       // Each machine's slice of the plan replays on that machine's own
       // domain engine: crashes, repairs, and core faults are domain-local
@@ -355,142 +268,13 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   }
 
   auto fleet_live = [&] {
-    if (pending > 0) {
-      return true;
-    }
-    for (int m = 0; m < n; ++m) {
-      if (model.machine(m).kernel.live_tasks() > 0) {
-        return true;
-      }
-    }
-    return false;
+    return pending > 0 || std::any_of(machines.begin(), machines.end(),
+                                      [](const MachineRun* m) { return m->live(); });
   };
-  auto checkers_ok = [&] {
-    for (const auto& checker : checkers) {
-      if (!checker->ok()) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  ExperimentResult result;
-  DomainGroup::RunOptions run_options;
-  run_options.time_limit = config.time_limit;
-  run_options.workers = config.parallel.workers;
   // Replication's quorum reaps are same-instant cross-domain feedback (zero
   // lookahead), so they force the lockstep executor regardless of sync mode.
-  run_options.lockstep = replicas > 1 || config.parallel.sync == "lockstep";
-  run_options.max_window = static_cast<SimDuration>(config.parallel.lookahead_us *
-                                                    static_cast<double>(kMicrosecond));
-  run_options.live = fleet_live;
-  run_options.should_abort = config.should_abort;
-  if (!checkers.empty()) {
-    run_options.healthy = checkers_ok;
-  }
-  result.aborted = group.Run(run_options).aborted;
-  for (size_t m = 0; m < checkers.size(); ++m) {
-    if (!checkers[m]->ok()) {
-      throw std::runtime_error("invariant violation (cluster machine " + std::to_string(m) +
-                               ", " + config.machine + ", " +
-                               SchedulerKindKey(config.scheduler) + "/" + config.governor +
-                               ", seed " + std::to_string(config.seed) + "):\n" +
-                               checkers[m]->Report());
-    }
-  }
-  result.hit_time_limit = fleet_live() && !result.aborted;
-
-  // Every domain clock lines up on the global stop time before any metric is
-  // read: lazy integrators (hardware energy, PELT) integrate "up to Now()",
-  // and the shared-clock engine left them all at the last fired event's time.
-  group.AdvanceAllTo(group.Now());
-
-  SimTime last_exit = 0;
-  for (int m = 0; m < n; ++m) {
-    last_exit = std::max(last_exit, completion[static_cast<size_t>(m)].last_exit());
-  }
-  const SimTime end = last_exit > 0 ? last_exit : group.Now();
-  result.makespan = end;
-  result.events_fired = group.TotalEventsFired();
-
-  std::vector<FreqHistogram> machine_hist;
-  for (int m = 0; m < n; ++m) {
-    MachineModel& machine = model.machine(m);
-    result.energy_joules += machine.hw.EnergyJoules();
-    result.context_switches += machine.kernel.context_switches();
-    result.migrations += machine.kernel.total_migrations();
-    result.tasks_created += static_cast<int>(machine.kernel.tasks().size());
-    for (const auto& [t, when] : completion[static_cast<size_t>(m)].tag_last_exit()) {
-      auto [it, inserted] = result.tag_makespan.try_emplace(t, when);
-      if (!inserted) {
-        it->second = std::max(it->second, when);
-      }
-    }
-    machine_hist.push_back(freq[static_cast<size_t>(m)]->Snapshot(end));
-    if (m == 0) {
-      result.freq_hist = machine_hist.back();
-    } else {
-      for (size_t b = 0; b < result.freq_hist.seconds.size(); ++b) {
-        result.freq_hist.seconds[b] += machine_hist.back().seconds[b];
-      }
-    }
-    for (const int cpu : underload[static_cast<size_t>(m)]->CpusEverUsed()) {
-      result.cpus_used.push_back(m * cpus_per_machine + cpu);
-    }
-    result.counters.Add(counters[static_cast<size_t>(m)]->Finish(end));
-    if (!resilience.empty()) {
-      result.resilience.Add(resilience[static_cast<size_t>(m)]->Finish());
-    }
-    if (config.scheduler == SchedulerKind::kSmove) {
-      const auto* smove = static_cast<const SmovePolicy*>(machine.policy.get());
-      result.smove_moves_armed += smove->moves_armed();
-      result.smove_moves_fired += smove->moves_fired();
-    }
-  }
-  {
-    std::vector<double> per_machine_underload;
-    for (int m = 0; m < n; ++m) {
-      per_machine_underload.push_back(
-          underload[static_cast<size_t>(m)]->UnderloadPerSecond(end));
-    }
-    result.underload_per_s = Mean(per_machine_underload);
-  }
-  if (config.record_underload_series) {
-    result.underload_series = underload[0]->series();
-  }
-  if (config.record_latency) {
-    LatencyDistribution wakeups;
-    for (const auto& tracker : latency) {
-      for (const double us : tracker->samples_us()) {
-        wakeups.Add(us);
-      }
-    }
-    result.p50_wakeup_latency_us = wakeups.PercentileAt(50.0);
-    result.p99_wakeup_latency_us = wakeups.PercentileAt(99.0);
-  }
-  for (size_t m = 0; m < perfetto.size(); ++m) {
-    perfetto[m]->Finish(end);
-    std::error_code ec;
-    std::filesystem::create_directories(trace_dir, ec);
-    std::string stem = config.trace_label;
-    if (stem.empty()) {
-      stem = config.machine;
-      stem += '-';
-      stem += SchedulerKindName(config.scheduler);
-      stem += '-';
-      stem += config.governor;
-    }
-    stem += "-m" + std::to_string(m);
-    const std::string path = trace_dir + "/" + SanitizeStem(stem) + "-seed" +
-                             std::to_string(config.seed) + ".json";
-    if (perfetto[m]->WriteFile(path)) {
-      if (result.trace_file.empty()) {
-        result.trace_file = path;
-      }
-    } else {
-      std::fprintf(stderr, "[trace] cannot write %s\n", path.c_str());
-    }
-  }
+  ExperimentResult result =
+      RunMachines(group, machines, config, fleet_live, /*lockstep=*/replicas > 1);
 
   // ---- Serving metrics. ----
   ClusterStats& stats = result.cluster;
@@ -549,16 +333,9 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   stats.mean_queue_ms = Mean(queue_ms);
   stats.mean_service_ms = Mean(service_ms);
 
-  const double horizon_s = ToSeconds(end);
+  // Each machine's Finish appended its utilisation/underload row.
   for (int m = 0; m < n; ++m) {
-    ClusterMachineStats ms;
-    ms.requests_routed = routed[static_cast<size_t>(m)];
-    if (horizon_s > 0.0 && cpus_per_machine > 0) {
-      ms.utilisation = machine_hist[static_cast<size_t>(m)].TotalSeconds() /
-                       (static_cast<double>(cpus_per_machine) * horizon_s);
-    }
-    ms.underload_per_s = underload[static_cast<size_t>(m)]->UnderloadPerSecond(end);
-    stats.machines.push_back(ms);
+    stats.machines[static_cast<size_t>(m)].requests_routed = routed[static_cast<size_t>(m)];
   }
   return result;
 }

@@ -1,21 +1,11 @@
 #include "src/core/experiment.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <exception>
-#include <filesystem>
 #include <memory>
-#include <stdexcept>
-#include <thread>
 
 #include "src/cfs/cfs_policy.h"
-#include "src/check/invariant_checker.h"
-#include "src/governors/governors.h"
-#include "src/metrics/latency.h"
+#include "src/core/machine_run.h"
 #include "src/metrics/stats.h"
-#include "src/metrics/underload.h"
-#include "src/obs/perfetto_trace.h"
 
 namespace nestsim {
 
@@ -83,52 +73,6 @@ std::string ExperimentConfig::Label() const {
   return label;
 }
 
-namespace {
-
-// Observes task exits to record per-tag completion times.
-class CompletionObserver : public KernelObserver {
- public:
-  uint32_t InterestMask() const override { return kObsTaskExit; }
-
-  void OnTaskExit(SimTime now, const Task& task) override {
-    last_exit_ = std::max(last_exit_, now);
-    auto [it, inserted] = tag_last_exit_.try_emplace(task.tag, now);
-    if (!inserted) {
-      it->second = std::max(it->second, now);
-    }
-  }
-
-  SimTime last_exit() const { return last_exit_; }
-  const std::map<int, SimTime>& tag_last_exit() const { return tag_last_exit_; }
-
- private:
-  SimTime last_exit_ = 0;
-  std::map<int, SimTime> tag_last_exit_;
-};
-
-// The directory Perfetto traces go to: the config field wins, then the
-// NESTSIM_TRACE environment variable; empty disables capture.
-std::string TraceDir(const ExperimentConfig& config) {
-  if (!config.trace_dir.empty()) {
-    return config.trace_dir;
-  }
-  const char* env = std::getenv("NESTSIM_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
-std::string SanitizeStem(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    out += ok ? c : '-';
-  }
-  return out;
-}
-
-}  // namespace
-
 bool CheckInvariantsEnabled(const ExperimentConfig& config) {
   const char* env = std::getenv("NESTSIM_CHECK_INVARIANTS");
   if (env != nullptr && env[0] != '\0') {
@@ -180,51 +124,21 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& w
     return RunExperiment(replay, workload);
   }
 
-  Engine engine;
-  const MachineSpec& spec = MachineByName(config.machine);
-  HardwareModel hw(&engine, spec);
-  std::unique_ptr<SchedulerPolicy> policy = MakeSchedulerPolicy(config);
-  std::unique_ptr<Governor> governor = MakeGovernor(config.governor, config.power);
-  Kernel kernel(&engine, &hw, policy.get(), governor.get(), config.kernel);
+  // One machine is one PDES domain: the run goes through the same loop and
+  // harvest as every fleet (src/core/machine_run.h).
+  DomainGroup group(1);
+  Engine& engine = group.domain(0);
+  MachineRun machine(&engine, config);
+  Kernel& kernel = machine.kernel;
   if (config.fault.replicas > 1) {
     kernel.SetInjectionReplication(config.fault.replicas, config.fault.quorum);
   }
 
-  CompletionObserver completion;
-  UnderloadTracker underload(&kernel, config.record_underload_series);
-  FreqResidencyTracker freq(&kernel, FreqBucketEdgesFor(spec));
-  kernel.AddObserver(&completion);
-  kernel.AddObserver(&underload);
-  kernel.AddObserver(&freq);
-
-  SchedCounterRecorder counters(&kernel);
-  kernel.AddObserver(&counters);
-
+  // Single-machine extras on top of the standard observer set.
   std::unique_ptr<TraceRecorder> trace;
   if (config.record_trace) {
     trace = std::make_unique<TraceRecorder>(&kernel);
     kernel.AddObserver(trace.get());
-  }
-  const std::string trace_dir = TraceDir(config);
-  std::unique_ptr<PerfettoTraceWriter> perfetto;
-  if (!trace_dir.empty()) {
-    perfetto = std::make_unique<PerfettoTraceWriter>(&kernel);
-    kernel.AddObserver(perfetto.get());
-  }
-  std::unique_ptr<WakeupLatencyTracker> latency;
-  if (config.record_latency) {
-    latency = std::make_unique<WakeupLatencyTracker>();
-    kernel.AddObserver(latency.get());
-  }
-  std::unique_ptr<InvariantChecker> checker;
-  if (CheckInvariantsEnabled(config)) {
-    checker = std::make_unique<InvariantChecker>(&kernel);
-    kernel.AddObserver(checker.get());
-  }
-  std::unique_ptr<ResilienceRecorder> resilience;
-  if (config.fault.any()) {
-    resilience = std::make_unique<ResilienceRecorder>();
-    kernel.AddObserver(resilience.get());
   }
   std::unique_ptr<OracleRecorder> oracle_recorder;
   if (config.predict.oracle_record_plan != nullptr) {
@@ -253,116 +167,17 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& w
   if (config.fault.enabled()) {
     Rng fault_rng = rng.Fork();
     fault_plan = BuildFaultPlan(config.fault, fault_rng, /*num_machines=*/1,
-                                hw.topology().num_cpus(), config.time_limit);
+                                machine.hw.topology().num_cpus(), config.time_limit);
     injector = std::make_unique<FaultInjector>(&engine, &kernel, &fault_plan);
     injector->Arm();
   }
 
-  ExperimentResult result;
-  // Pump events until every task exited and no open-loop arrival is still in
-  // flight. The hardware's periodic updates keep the queue non-empty forever,
-  // so the live-task count is the loop condition. The abort hook is polled on
-  // a stride so the steady-clock read stays off the per-event path.
-  auto pump = [&] {
-    constexpr int kAbortCheckStride = 2048;
-    int until_abort_check = kAbortCheckStride;
-    while ((kernel.live_tasks() > 0 || kernel.pending_injections() > 0) &&
-           engine.Now() < config.time_limit) {
-      if (--until_abort_check <= 0) {
-        until_abort_check = kAbortCheckStride;
-        if (config.should_abort && config.should_abort()) {
-          result.aborted = true;
-          break;
-        }
-        if (checker != nullptr && !checker->ok()) {
-          break;  // fail fast; the throw below carries the report
-        }
-      }
-      if (!engine.Step()) {
-        break;
-      }
-    }
-  };
-  if (config.parallel.workers > 0) {
-    // One machine is one PDES domain, so there is nothing to overlap; the
-    // parallel path runs the identical loop on a worker thread (the same
-    // degenerate case DomainGroup handles for a one-domain group), keeping
-    // "any worker count is digest-identical" true for every scenario.
-    std::exception_ptr error;
-    std::thread worker([&] {
-      try {
-        pump();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    });
-    worker.join();
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  } else {
-    pump();
-  }
-  if (checker != nullptr && !checker->ok()) {
-    throw std::runtime_error("invariant violation (" + config.machine + ", " +
-                             SchedulerKindKey(config.scheduler) + "/" + config.governor +
-                             ", seed " + std::to_string(config.seed) + "):\n" +
-                             checker->Report());
-  }
-  result.hit_time_limit =
-      (kernel.live_tasks() > 0 || kernel.pending_injections() > 0) && !result.aborted;
-
-  const SimTime end = completion.last_exit() > 0 ? completion.last_exit() : engine.Now();
-  result.makespan = end;
-  result.energy_joules = hw.EnergyJoules();
-  result.underload_per_s = underload.UnderloadPerSecond(end);
-  result.freq_hist = freq.Snapshot(end);
-  result.cpus_used = underload.CpusEverUsed();
-  result.events_fired = engine.events_fired();
-  result.context_switches = kernel.context_switches();
-  result.migrations = kernel.total_migrations();
-  result.tasks_created = static_cast<int>(kernel.tasks().size());
-  for (const auto& [tag, t] : completion.tag_last_exit()) {
-    result.tag_makespan[tag] = t;
-  }
-  if (config.record_underload_series) {
-    result.underload_series = underload.series();
-  }
-  result.counters = counters.Finish(end);
+  // The run ends when every task exited and no open-loop arrival is still in
+  // flight; the hardware's periodic updates keep the queue non-empty forever.
+  ExperimentResult result = RunMachines(group, {&machine}, config,
+                                        [&machine] { return machine.live(); }, /*lockstep=*/false);
   if (trace != nullptr) {
-    result.trace = trace->Finish(end);
-  }
-  if (perfetto != nullptr) {
-    perfetto->Finish(end);
-    std::error_code ec;
-    std::filesystem::create_directories(trace_dir, ec);
-    std::string stem = config.trace_label;
-    if (stem.empty()) {
-      stem = config.machine;
-      stem += '-';
-      stem += SchedulerKindName(config.scheduler);
-      stem += '-';
-      stem += config.governor;
-    }
-    const std::string path = trace_dir + "/" + SanitizeStem(stem) + "-seed" +
-                             std::to_string(config.seed) + ".json";
-    if (perfetto->WriteFile(path)) {
-      result.trace_file = path;
-    } else {
-      std::fprintf(stderr, "[trace] cannot write %s\n", path.c_str());
-    }
-  }
-  if (config.scheduler == SchedulerKind::kSmove) {
-    const auto* smove = static_cast<const SmovePolicy*>(policy.get());
-    result.smove_moves_armed = smove->moves_armed();
-    result.smove_moves_fired = smove->moves_fired();
-  }
-  if (latency != nullptr) {
-    result.p99_wakeup_latency_us = latency->PercentileUs(99.0);
-    result.p50_wakeup_latency_us = latency->PercentileUs(50.0);
-  }
-  if (resilience != nullptr) {
-    result.resilience = resilience->Finish();
+    result.trace = trace->Finish(result.makespan);
   }
   return result;
 }

@@ -225,8 +225,8 @@ struct ExperimentResult {
 // Runs one seeded simulation of `workload` under `config`.
 ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& workload);
 
-// Builds the policy instance the config names. Exposed so the cluster runner
-// (src/cluster/) constructs per-machine stacks exactly like RunExperiment.
+// Builds the policy instance the config names (every MachineModel's policy,
+// src/core/machine_run.h).
 std::unique_ptr<SchedulerPolicy> MakeSchedulerPolicy(const ExperimentConfig& config);
 
 // The config flag, overridable either way by NESTSIM_CHECK_INVARIANTS

@@ -91,12 +91,16 @@ void FaultInjector::Arm() {
 
 void ResilienceStats::Add(const ResilienceStats& other) {
   // Evacuation latencies merge as (weighted mean, max) — counts weight the
-  // means so per-machine aggregation matches a single-recorder run.
+  // means so per-machine aggregation matches a single-recorder run. Merging
+  // into an empty side copies the mean exactly.
   const uint64_t total = evacuations + other.evacuations;
   if (total > 0) {
-    mean_evac_latency_us = (mean_evac_latency_us * static_cast<double>(evacuations) +
-                            other.mean_evac_latency_us * static_cast<double>(other.evacuations)) /
-                           static_cast<double>(total);
+    mean_evac_latency_us =
+        evacuations == 0
+            ? other.mean_evac_latency_us
+            : (mean_evac_latency_us * static_cast<double>(evacuations) +
+               other.mean_evac_latency_us * static_cast<double>(other.evacuations)) /
+                  static_cast<double>(total);
     max_evac_latency_us = std::max(max_evac_latency_us, other.max_evac_latency_us);
   }
   evacuations = total;

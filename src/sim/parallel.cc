@@ -11,8 +11,9 @@ namespace nestsim {
 
 namespace {
 
-// Same stride the single-engine experiment loop uses, so abort latency and
-// checker fail-fast behave identically under every executor.
+// Abort/checker polling stride, shared by every executor so abort latency
+// and checker fail-fast behave identically; it keeps the steady-clock read
+// off the per-event path.
 constexpr int kAbortCheckStride = 2048;
 
 }  // namespace
@@ -312,11 +313,11 @@ DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
   if (options.workers <= 0) {
     return RunMerged(options);
   }
-  EnsurePool(options.workers);
   if (options.lockstep || size() == 1) {
     // Zero-lookahead feedback (or a single domain, which has nothing to
     // overlap): the merged loop wholesale, on a pool thread so the
-    // cross-thread handoff is still real.
+    // cross-thread handoff is still real. One thread is all it uses.
+    EnsurePool(1);
     RunResult result;
     pool_->Dispatch([&](int worker) {
       if (worker == 0) {
@@ -325,6 +326,7 @@ DomainGroup::RunResult DomainGroup::Run(const RunOptions& options) {
     });
     return result;
   }
+  EnsurePool(options.workers);
   return RunWindowed(options);
 }
 

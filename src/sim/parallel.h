@@ -1,12 +1,13 @@
 // Conservative parallel discrete-event execution (docs/PARALLEL.md).
 //
 // A DomainGroup partitions one simulation into N *domains* — independent
-// Engines, each with its own event queue and clock (the cluster layer gives
-// every machine a domain) — plus one *coordinator* Engine carrying every
-// cross-domain event: request arrivals with their router decision, and the
-// replica-quorum reaps. Domains never touch each other's state directly; all
-// interaction flows through coordinator events, and that isolation is what
-// makes the window synchronizer below conservative.
+// Engines, each with its own event queue and clock (every run gives each
+// machine a domain; a single-machine run is a one-domain group) — plus one
+// *coordinator* Engine carrying every cross-domain event: request arrivals
+// with their router decision, and the replica-quorum reaps. Domains never
+// touch each other's state directly; all interaction flows through
+// coordinator events, and that isolation is what makes the window
+// synchronizer below conservative.
 //
 // Run() executes the union of all queues in one canonical total order:
 //
@@ -59,8 +60,8 @@ namespace nestsim {
 // workers = 0 must verify at any worker count.
 struct ParallelParams {
   // Worker threads pumping domains. 0 = serial: the merged reference loop on
-  // the calling thread. >0 spawns that many threads (a single-domain run
-  // then executes wholesale on one of them).
+  // the calling thread. >0 spawns that many threads (a single-domain or
+  // lockstep run executes wholesale on one pool thread instead).
   int workers = 0;
 
   // "auto" | "window" | "lockstep". Auto picks the windowed executor and
@@ -117,10 +118,9 @@ class DomainGroup {
     SimDuration max_window = 0;
 
     // Loop predicate, required: keep running while it returns true. The
-    // merged loop evaluates it before every event, exactly like the
-    // single-engine experiment loop; the windowed executor evaluates it only
-    // at barriers, which is sound because the predicate cannot go false
-    // while coordinator arrivals are still pending.
+    // merged loop evaluates it before every event; the windowed executor
+    // evaluates it only at barriers, which is sound because the predicate
+    // cannot go false while coordinator arrivals are still pending.
     std::function<bool()> live;
 
     // Wall-clock cancellation, polled every few thousand events. Under the

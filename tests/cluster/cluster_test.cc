@@ -33,9 +33,9 @@ ExperimentConfig SmallConfig(SchedulerKind scheduler) {
   return config;
 }
 
-// Every scalar the golden baselines gate on, compared exactly. The counters
-// compare as their full JSON rendering, not just the digest, so a mismatch
-// names the counter that moved.
+// Every field both runners fill, compared exactly (the doubles to within a
+// few ulps). The counters compare as their full JSON rendering, not just the
+// digest, so a mismatch names the counter that moved.
 void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.energy_joules, b.energy_joules);
@@ -44,22 +44,83 @@ void ExpectSameResult(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.tasks_created, b.tasks_created);
   EXPECT_EQ(SchedCountersJson(a.counters), SchedCountersJson(b.counters));
+  EXPECT_EQ(a.events_fired, b.events_fired);
+  EXPECT_EQ(a.freq_hist.seconds, b.freq_hist.seconds);
+  EXPECT_EQ(a.cpus_used, b.cpus_used);
+  EXPECT_EQ(a.tag_makespan, b.tag_makespan);
+  EXPECT_EQ(a.hit_time_limit, b.hit_time_limit);
+  EXPECT_DOUBLE_EQ(a.p50_wakeup_latency_us, b.p50_wakeup_latency_us);
+  EXPECT_DOUBLE_EQ(a.p99_wakeup_latency_us, b.p99_wakeup_latency_us);
+  const ResilienceStats& ra = a.resilience;
+  const ResilienceStats& rb = b.resilience;
+  EXPECT_EQ(ra.tasks_killed, rb.tasks_killed);
+  EXPECT_EQ(ra.replicas_reaped, rb.replicas_reaped);
+  EXPECT_DOUBLE_EQ(ra.work_lost_ms, rb.work_lost_ms);
+  EXPECT_DOUBLE_EQ(ra.wasted_replica_ms, rb.wasted_replica_ms);
+  EXPECT_EQ(ra.evacuations, rb.evacuations);
+  EXPECT_DOUBLE_EQ(ra.mean_evac_latency_us, rb.mean_evac_latency_us);
+  EXPECT_DOUBLE_EQ(ra.max_evac_latency_us, rb.max_evac_latency_us);
+  EXPECT_EQ(ra.requests_failed, rb.requests_failed);
+  EXPECT_EQ(ra.requests_degraded, rb.requests_degraded);
 }
+
+// The passthrough differential on one config: the 1-machine fleet must match
+// RunExperiment field for field and still report its serving metrics.
+void ExpectPassthroughMatches(const ExperimentConfig& config, const Workload& workload) {
+  const ExperimentResult single = RunExperiment(config, workload);
+  const ExperimentResult fleet =
+      RunClusterExperiment(ClusterSpec{1, "passthrough"}, config, workload);
+  ExpectSameResult(single, fleet);
+  EXPECT_EQ(fleet.cluster.num_machines, 1);
+  EXPECT_GT(fleet.cluster.requests_offered, 0u);
+  EXPECT_EQ(fleet.cluster.requests_completed, fleet.cluster.requests_offered);
+}
+
+const SchedulerKind kDifferentialSchedulers[] = {SchedulerKind::kCfs, SchedulerKind::kNest,
+                                                 SchedulerKind::kSmove};
 
 TEST(ClusterDifferentialTest, PassthroughSingleMachineIsDigestIdentical) {
   const RequestWorkload workload(SmallTraffic());
-  for (const SchedulerKind scheduler :
-       {SchedulerKind::kCfs, SchedulerKind::kNest, SchedulerKind::kSmove}) {
-    const ExperimentConfig config = SmallConfig(scheduler);
-    const ExperimentResult single = RunExperiment(config, workload);
-    const ExperimentResult fleet =
-        RunClusterExperiment(ClusterSpec{1, "passthrough"}, config, workload);
+  for (const SchedulerKind scheduler : kDifferentialSchedulers) {
     SCOPED_TRACE(SchedulerKindKey(scheduler));
-    ExpectSameResult(single, fleet);
-    // The cluster path additionally reports serving metrics.
-    EXPECT_EQ(fleet.cluster.num_machines, 1);
-    EXPECT_GT(fleet.cluster.requests_offered, 0u);
-    EXPECT_EQ(fleet.cluster.requests_completed, fleet.cluster.requests_offered);
+    ExpectPassthroughMatches(SmallConfig(scheduler), workload);
+  }
+}
+
+TEST(ClusterDifferentialTest, PassthroughMatchesWithWakeupLatency) {
+  const RequestWorkload workload(SmallTraffic());
+  for (const SchedulerKind scheduler : kDifferentialSchedulers) {
+    SCOPED_TRACE(SchedulerKindKey(scheduler));
+    ExperimentConfig config = SmallConfig(scheduler);
+    config.record_latency = true;
+    ExpectPassthroughMatches(config, workload);
+  }
+}
+
+TEST(ClusterDifferentialTest, PassthroughMatchesUnderCoreFaults) {
+  const RequestWorkload workload(SmallTraffic());
+  for (const SchedulerKind scheduler : kDifferentialSchedulers) {
+    SCOPED_TRACE(SchedulerKindKey(scheduler));
+    ExperimentConfig config = SmallConfig(scheduler);
+    config.fault.core_fail_rate_per_s = 40.0;
+    config.fault.core_downtime_ms = 20.0;
+    config.fault.horizon_s = 0.3;
+    const ExperimentResult single = RunExperiment(config, workload);
+    EXPECT_GT(single.counters.faults_injected, 0u);
+    ExpectPassthroughMatches(config, workload);
+  }
+}
+
+// A single machine is a one-domain group: running it on the worker pool must
+// reproduce the serial run exactly.
+TEST(ClusterDifferentialTest, SingleMachineWorkerPoolMatchesSerial) {
+  const RequestWorkload workload(SmallTraffic());
+  for (const SchedulerKind scheduler : kDifferentialSchedulers) {
+    SCOPED_TRACE(SchedulerKindKey(scheduler));
+    const ExperimentConfig serial = SmallConfig(scheduler);
+    ExperimentConfig pooled = serial;
+    pooled.parallel.workers = 2;
+    ExpectSameResult(RunExperiment(serial, workload), RunExperiment(pooled, workload));
   }
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -83,12 +85,41 @@ TEST(DomainGroupOrderTest, EqualTimestampsFireDomainsInIdOrderThenCoordinator) {
     group.domain(1).ScheduleAt(100, [&log] { log.push_back(Label("d1", 100)); });
   };
   const std::vector<std::string> expected = {"d0@100", "d1@100", "d2@100", "coord@100"};
+  // The merged loop — serial, or wholesale on a pool thread under lockstep —
+  // fires one event at a time, so one shared log sees the full order.
   EXPECT_EQ(RunGroup(3, build, /*workers=*/0), expected);
-  // The same order must hold under the pool at any worker count: the order
-  // is a property of the event data, not of thread scheduling.
-  EXPECT_EQ(RunGroup(3, build, /*workers=*/2), expected);
-  EXPECT_EQ(RunGroup(3, build, /*workers=*/4), expected);
   EXPECT_EQ(RunGroup(3, build, /*workers=*/2, /*lockstep=*/true), expected);
+
+  // The windowed pool fires domain events at t == window_end inside the
+  // parallel window, concurrently across domains: each domain logs to its
+  // own vector, merged after the run. What the pool promises is each
+  // domain's own events, and the coordinator after every domain event at its
+  // instant (it counts them when it fires).
+  for (const int workers : {2, 4}) {
+    DomainGroup group(3);
+    std::vector<std::vector<std::string>> logs(3);
+    size_t domain_events_before_coord = 0;
+    group.domain(2).ScheduleAt(100, [&logs] { logs[2].push_back(Label("d2", 100)); });
+    group.ScheduleCoordinator(100, [&logs, &domain_events_before_coord] {
+      for (const auto& log : logs) {
+        domain_events_before_coord += log.size();
+      }
+    });
+    group.domain(0).ScheduleAt(100, [&logs] { logs[0].push_back(Label("d0", 100)); });
+    group.domain(1).ScheduleAt(100, [&logs] { logs[1].push_back(Label("d1", 100)); });
+    DomainGroup::RunOptions options;
+    options.time_limit = 1 * kSecond;
+    options.workers = workers;
+    options.live = [] { return true; };
+    EXPECT_FALSE(group.Run(options).aborted);
+    std::vector<std::string> merged;
+    for (const auto& log : logs) {
+      merged.insert(merged.end(), log.begin(), log.end());
+    }
+    EXPECT_EQ(merged, (std::vector<std::string>{"d0@100", "d1@100", "d2@100"}))
+        << workers << " workers";
+    EXPECT_EQ(domain_events_before_coord, 3u) << workers << " workers";
+  }
 }
 
 // Within one queue, same-timestamp events keep insertion order (the seq
@@ -197,6 +228,39 @@ TEST(DomainGroupTest, UnhealthyStopsTheRunWithoutAborting) {
     const DomainGroup::RunResult result = group.Run(options);
     EXPECT_FALSE(result.aborted) << workers << " workers";
     EXPECT_GT(group.domain(0).pending_events(), 0u) << workers << " workers";
+  }
+}
+
+// A domain event that throws: the exception leaves Run() on every executor
+// (serial, windowed pool, lockstep pool, and a one-domain group on the pool,
+// which is how a single-machine run executes at workers > 0), and the group
+// with its worker pool still destructs cleanly.
+TEST(DomainGroupTest, ExceptionInADomainEventPropagatesOutOfRun) {
+  struct Case {
+    int domains;
+    int workers;
+    bool lockstep;
+  };
+  for (const Case c : {Case{2, 0, false}, Case{2, 2, false}, Case{2, 2, true}, Case{1, 2, false}}) {
+    SCOPED_TRACE(std::to_string(c.domains) + " domains, " + std::to_string(c.workers) +
+                 " workers, lockstep " + std::to_string(c.lockstep));
+    auto group = std::make_unique<DomainGroup>(c.domains);
+    group->domain(0).ScheduleAt(10, [] {});
+    group->domain(c.domains - 1).ScheduleAt(50, [] { throw std::runtime_error("boom"); });
+    // A later coordinator event opens a window spanning the throw.
+    group->ScheduleCoordinator(100, [] {});
+    DomainGroup::RunOptions options;
+    options.time_limit = 1 * kSecond;
+    options.workers = c.workers;
+    options.lockstep = c.lockstep;
+    options.live = [] { return true; };
+    try {
+      group->Run(options);
+      ADD_FAILURE() << "Run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom");
+    }
+    group.reset();
   }
 }
 
