@@ -38,19 +38,14 @@ int CfsPolicy::GroupLoad(const SchedGroup& group) {
 }
 
 int CfsPolicy::GroupIdleCount(const SchedGroup& group) const {
-  int idle = 0;
-  for (int cpu : group.cpus) {
-    if (kernel_->CpuIdle(cpu)) {
-      ++idle;
-    }
-  }
-  return idle;
+  return (group.mask & kernel_->idle_cpus()).Count();
 }
 
 int CfsPolicy::FindIdlestCpu(const std::vector<int>& span, int origin) {
   // Scan in numerical order, starting from `origin`'s position modulo the
   // span size (§2.1). Lower (nr_running, quantised load) wins; strict
-  // inequality keeps the earliest candidate on ties.
+  // inequality keeps the earliest candidate on ties, so a CPU with more
+  // tasks than the best so far never needs its load.
   const int n = static_cast<int>(span.size());
   assert(n > 0);
   int start = 0;
@@ -66,8 +61,11 @@ int CfsPolicy::FindIdlestCpu(const std::vector<int>& span, int origin) {
   for (int i = 0; i < n; ++i) {
     const int cpu = span[(start + i) % n];
     const int nr = kernel_->rq(cpu).NrRunning();
+    if (nr > best_nr) {
+      continue;
+    }
     const int load = QuantisedLoad(cpu);
-    if (nr < best_nr || (nr == best_nr && load < best_load)) {
+    if (nr < best_nr || load < best_load) {
       best_cpu = cpu;
       best_nr = nr;
       best_load = load;
@@ -80,26 +78,46 @@ int CfsPolicy::ForkPath(const Task& child, int parent_cpu) {
   (void)child;
   const DomainTree& tree = kernel_->domains();
   const SchedDomain* domain = &tree.Top();
-  int cpu = parent_cpu;
 
+  // Bring every utilisation signal in the top span to now before descending.
+  // PELT updates are path dependent — skipping one at this instant would
+  // change the low bits of every later update of that signal — and results
+  // are pinned to a descent that reads every CPU's load. The descent below
+  // reads loads only where a decision needs them; those reads are then
+  // dt == 0 no-ops on the signal.
+  for (int cpu : domain->span) {
+    kernel_->CpuUtil(cpu);
+  }
+
+  int cpu = parent_cpu;
   while (domain != nullptr) {
-    // Find the local group (containing `cpu`) and the best remote group.
+    // Find the local group (containing `cpu`) and the best remote group:
+    // most idle CPUs, then least load. A group's load is summed only when
+    // its idle count ties the best one (kNoLoad until then).
+    constexpr int kNoLoad = -1;
     const SchedGroup* local = nullptr;
     const SchedGroup* best = nullptr;
     int best_idle = -1;
-    int best_load = std::numeric_limits<int>::max();
+    int best_load = kNoLoad;
     for (const SchedGroup& group : domain->groups) {
-      const bool is_local = std::find(group.cpus.begin(), group.cpus.end(), cpu) != group.cpus.end();
-      if (is_local) {
+      if (group.mask.Test(cpu)) {
         local = &group;
         continue;
       }
       const int idle = GroupIdleCount(group);
-      const int load = GroupLoad(group);
-      if (idle > best_idle || (idle == best_idle && load < best_load)) {
+      if (idle > best_idle) {
         best = &group;
         best_idle = idle;
-        best_load = load;
+        best_load = kNoLoad;
+      } else if (idle == best_idle) {
+        if (best_load == kNoLoad) {
+          best_load = GroupLoad(*best);
+        }
+        const int load = GroupLoad(group);
+        if (load < best_load) {
+          best = &group;
+          best_load = load;
+        }
       }
     }
 
@@ -110,13 +128,17 @@ int CfsPolicy::ForkPath(const Task& child, int parent_cpu) {
       // Leave the local group only when the remote one is substantially
       // idler (find_idlest_group's stickiness).
       const int local_idle = GroupIdleCount(*local);
-      const int local_load = GroupLoad(*local);
       const int margin = std::max(
           1, static_cast<int>(params_.group_imbalance_fraction * static_cast<double>(local->cpus.size())));
-      if (best_idle > local_idle + margin ||
-          (local_idle == 0 && best_idle > 0) ||
-          (best_idle == local_idle && best_load + margin * params_.load_resolution < local_load)) {
+      if (best_idle > local_idle + margin || (local_idle == 0 && best_idle > 0)) {
         chosen = best;
+      } else if (best_idle == local_idle) {
+        if (best_load == kNoLoad) {
+          best_load = GroupLoad(*best);
+        }
+        if (best_load + margin * params_.load_resolution < GroupLoad(*local)) {
+          chosen = best;
+        }
       }
     }
     assert(chosen != nullptr);

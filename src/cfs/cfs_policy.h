@@ -61,13 +61,16 @@ class CfsPolicy : public SchedulerPolicy {
  private:
   // Quantised load of one CPU (integer, 0..load_resolution).
   int QuantisedLoad(int cpu);
-  // Sum of quantised loads over a group span.
+  // Sum of quantised loads over a group span. ForkPath asks for it only when
+  // two groups' idle counts tie.
   int GroupLoad(const SchedGroup& group);
+  // popcount(group mask & the kernel's idle mask).
   int GroupIdleCount(const SchedGroup& group) const;
 
   // Least-loaded CPU within a span, scanning numerically from `origin`:
   // prefers idle CPUs with the smallest quantised load; falls back to the
-  // smallest (nr_running, load).
+  // smallest (nr_running, load). Loads are read only for CPUs whose
+  // nr_running could still win.
   int FindIdlestCpu(const std::vector<int>& span, int origin);
 
   // select_idle_sibling's die scan. Returns -1 if nothing idle was found.
@@ -75,10 +78,12 @@ class CfsPolicy : public SchedulerPolicy {
 
   Params params_;
 
-  // Fork's group descent asks the same CPUs for their quantised load many
-  // times per placement (group sums, then the winning group's CPU scan). The
-  // value is pure within one instant for a fixed placement generation — PELT
-  // updates are idempotent at dt == 0 — so cache it per CPU.
+  // Fork's group descent can ask a CPU for its quantised load more than once
+  // per placement (a tied group's sum at one level, then the chosen group's
+  // CPU scan at the next). ForkPath brings every utilisation signal to now
+  // before the descent, so the value is pure within one instant for a fixed
+  // placement generation — PELT updates are idempotent at dt == 0 — and is
+  // cached per CPU.
   struct QuantisedLoadMemo {
     SimTime now = -1;
     uint64_t placement_gen = 0;

@@ -1,8 +1,24 @@
 #include "src/kernel/domains.h"
 
+#include <utility>
+
 namespace nestsim {
 
+namespace {
+
+SchedGroup MakeGroup(std::vector<int> cpus) {
+  SchedGroup group;
+  group.cpus = std::move(cpus);
+  for (int cpu : group.cpus) {
+    group.mask.Set(cpu);
+  }
+  return group;
+}
+
+}  // namespace
+
 DomainTree::DomainTree(const Topology& topo) : topo_(&topo) {
+  RequireCpuMaskCapacity(topo.num_cpus());
   index_.assign(3, {});
 
   // SMT domains: one per physical core; groups are single CPUs.
@@ -12,7 +28,7 @@ DomainTree::DomainTree(const Topology& topo) : topo_(&topo) {
     d.level = DomainLevel::kSmt;
     d.span = topo.CpusOfPhysCore(phys);
     for (int cpu : d.span) {
-      d.groups.push_back(SchedGroup{{cpu}});
+      d.groups.push_back(MakeGroup({cpu}));
     }
     index_[static_cast<int>(DomainLevel::kSmt)][phys] = static_cast<int>(domains_.size());
     domains_.push_back(std::move(d));
@@ -25,7 +41,7 @@ DomainTree::DomainTree(const Topology& topo) : topo_(&topo) {
     d.level = DomainLevel::kDie;
     d.span = topo.CpusOnSocket(socket);
     for (int first : topo.FirstThreadsOnSocket(socket)) {
-      d.groups.push_back(SchedGroup{topo.CpusOfPhysCore(topo.PhysCoreOf(first))});
+      d.groups.push_back(MakeGroup(topo.CpusOfPhysCore(topo.PhysCoreOf(first))));
     }
     index_[static_cast<int>(DomainLevel::kDie)][socket] = static_cast<int>(domains_.size());
     domains_.push_back(std::move(d));
@@ -40,7 +56,7 @@ DomainTree::DomainTree(const Topology& topo) : topo_(&topo) {
       d.span.push_back(cpu);
     }
     for (int socket = 0; socket < topo.num_sockets(); ++socket) {
-      d.groups.push_back(SchedGroup{topo.CpusOnSocket(socket)});
+      d.groups.push_back(MakeGroup(topo.CpusOnSocket(socket)));
     }
     index_[static_cast<int>(DomainLevel::kNuma)].push_back(static_cast<int>(domains_.size()));
     top_index_ = static_cast<int>(domains_.size());

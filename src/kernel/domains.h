@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/hw/topology.h"
+#include "src/kernel/cpu_mask.h"
 
 namespace nestsim {
 
@@ -20,6 +21,7 @@ enum class DomainLevel { kSmt = 0, kDie = 1, kNuma = 2 };
 
 struct SchedGroup {
   std::vector<int> cpus;
+  CpuMask mask;  // the same CPUs, for O(1) membership and idle counts
 };
 
 struct SchedDomain {
@@ -30,6 +32,7 @@ struct SchedDomain {
 
 class DomainTree {
  public:
+  // Throws std::length_error when `topo` has more CPUs than a CpuMask holds.
   explicit DomainTree(const Topology& topo);
 
   // The machine-wide domain (NUMA level, or DIE when there is one socket).

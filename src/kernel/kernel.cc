@@ -18,6 +18,8 @@ Kernel::Kernel(Engine* engine, HardwareModel* hw, SchedulerPolicy* policy, Gover
       policy_(policy),
       governor_(governor),
       params_(params),
+      // First mask-filling member: DomainTree rejects a machine wider than a
+      // CpuMask before the idle/overloaded masks or the policy see it.
       domains_(hw->topology()),
       cpus_(hw->topology().num_cpus()) {
   policy_->Attach(this);

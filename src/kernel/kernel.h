@@ -69,6 +69,8 @@ class Kernel {
     int test_skip_enqueue_dispatch_every = 0;
   };
 
+  // Both throw std::length_error, naming the machine's CPU count and
+  // CpuMask::kMaxCpus, when the machine is wider than a CpuMask.
   Kernel(Engine* engine, HardwareModel* hw, SchedulerPolicy* policy, Governor* governor);
   Kernel(Engine* engine, HardwareModel* hw, SchedulerPolicy* policy, Governor* governor,
          Params params);
@@ -158,6 +160,10 @@ class Kernel {
   // Idle from the scheduler's point of view: nothing running or queued.
   // Offline CPUs are never idle — they must lose every placement scan.
   bool CpuIdle(int cpu) const { return cpus_[cpu].online && cpus_[cpu].rq.Idle(); }
+
+  // Every CPU for which CpuIdle holds, kept current on every run-queue and
+  // online-state change. Read-only; placement scans AND it with group masks.
+  const CpuMask& idle_cpus() const { return idle_cpus_; }
 
   // Idle and not claimed by an in-flight placement. What reservation-aware
   // policies (Nest) check before selecting a CPU.

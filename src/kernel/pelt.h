@@ -36,6 +36,17 @@ struct DecayMsTable {
 };
 extern const DecayMsTable kDecayMsTable;
 
+// The last ragged (dt -> factor) pair computed by any signal on this thread.
+// After a placement scan updates every CPU's utilisation at one instant, they
+// all share last_update, so the next scan decays them all by the same dt:
+// one exp2 serves the whole machine. thread_local because PDES workers run
+// machines on different threads; constinit so reads need no init guard.
+struct SharedDecayMemo {
+  SimDuration dt = 0;
+  double factor = 1.0;
+};
+extern thread_local constinit SharedDecayMemo tls_decay_memo;
+
 }  // namespace pelt_detail
 
 class PeltSignal {
@@ -88,13 +99,14 @@ class PeltSignal {
   static constexpr SimDuration kHalfLife = 32 * kMillisecond;
 
  private:
-  // 2^(-dt / half_life), with two exp2-free fast paths that return the very
-  // same doubles: the whole-millisecond table above (idle CPUs update on 4 ms
-  // tick boundaries, so most dts are ms multiples) and a one-entry memo of
-  // the last ragged dt (per signal, so threads never share it). Both caches
-  // are filled with the identical exp2 expression — composing powers
-  // y^a * y^b instead would change the low bits and break the byte-identical
-  // golden baselines.
+  // 2^(-dt / half_life), with three exp2-free fast paths that return the
+  // very same doubles: the whole-millisecond table above (idle CPUs update on
+  // 4 ms tick boundaries, so most dts are ms multiples), a one-entry memo of
+  // this signal's last ragged dt, and the thread's shared one-entry memo
+  // (tls_decay_memo) of the last ragged dt any signal computed. All three are
+  // filled with the identical exp2 expression of a pure function of dt, so a
+  // hit can never change a result — composing powers y^a * y^b instead would
+  // change the low bits and break the byte-identical golden baselines.
   double DecayFactor(SimDuration dt) const {
     if (dt <= 0) {
       return 1.0;
@@ -108,9 +120,14 @@ class PeltSignal {
     if (dt == memo_dt_) {
       return memo_decay_;
     }
+    pelt_detail::SharedDecayMemo& shared = pelt_detail::tls_decay_memo;
+    if (dt == shared.dt) {
+      return shared.factor;
+    }
     const double decay = pelt_detail::Exp2Decay(dt);
     memo_dt_ = dt;
     memo_decay_ = decay;
+    shared = {dt, decay};
     return decay;
   }
 

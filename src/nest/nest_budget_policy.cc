@@ -32,10 +32,7 @@ int NestBudgetPolicy::SelectCommon(Task& task, int anchor_cpu, bool is_fork,
   const int socket = topo.SocketOf(anchor_cpu);
   int best = -1;
   int best_depth = 0;
-  for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
-    if (!cores_[cpu].in_primary || topo.SocketOf(cpu) != socket) {
-      continue;
-    }
+  for (int cpu : primary_mask_ & die_masks_[socket]) {
     const int depth = kernel_->rq(cpu).QueuedCount() + (kernel_->CpuIdle(cpu) ? 0 : 1);
     if (best < 0 || depth < best_depth) {
       best = cpu;
@@ -63,7 +60,7 @@ int NestBudgetPolicy::SelectCpuWake(Task& task, const WakeContext& ctx) {
   // primary mask. Skipping the base class's attach/prev-core ladder here is
   // what makes demotions stick — its §5.4 path re-adopts any idle previous
   // core into the primary, growing the mask right back.
-  if (task.prev_cpu >= 0 && cores_[task.prev_cpu].in_primary &&
+  if (task.prev_cpu >= 0 && InPrimary(task.prev_cpu) &&
       kernel_->CpuIdleUnclaimed(task.prev_cpu)) {
     task.placement_path = PlacementPath::kNestPrevCore;
     MarkUsed(task.prev_cpu);
@@ -91,8 +88,8 @@ void NestBudgetPolicy::OnTick() {
     }
     int victim = -1;
     SimTime oldest = 0;
-    for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
-      if (!cores_[cpu].in_primary || topo.SocketOf(cpu) != socket || !kernel_->CpuIdle(cpu)) {
+    for (int cpu : primary_mask_ & die_masks_[socket]) {
+      if (!kernel_->CpuIdle(cpu)) {
         continue;
       }
       if (victim < 0 || cores_[cpu].last_used < oldest) {

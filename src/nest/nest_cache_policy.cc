@@ -109,10 +109,7 @@ void NestCachePolicy::OnTick() {
   int dominant_count = 0;
   const Topology& topo = kernel_->topology();
   for (int socket = 0; socket < topo.num_sockets(); ++socket) {
-    int count = 0;
-    for (const int cpu : topo.CpusOnSocket(socket)) {
-      count += cores_[cpu].in_primary ? 1 : 0;
-    }
+    const int count = (primary_mask_ & die_masks_[socket]).Count();
     if (count > dominant_count) {  // ties keep the lowest socket
       dominant_count = count;
       dominant = socket;
@@ -122,11 +119,10 @@ void NestCachePolicy::OnTick() {
   const SimDuration base_limit = params_.p_remove_ticks * kTickPeriod;
   const SimDuration graced_limit =
       (params_.p_remove_ticks + cache_params_.compaction_grace_ticks) * kTickPeriod;
-  for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
+  for (int cpu : primary_mask_) {
     CoreInfo& core = cores_[cpu];
     const SimDuration limit = topo.SocketOf(cpu) == dominant ? graced_limit : base_limit;
-    if (core.in_primary && !core.compaction_eligible && kernel_->CpuIdle(cpu) &&
-        now - core.last_used >= limit) {
+    if (!core.compaction_eligible && kernel_->CpuIdle(cpu) && now - core.last_used >= limit) {
       core.compaction_eligible = true;
     }
   }

@@ -7,15 +7,14 @@ namespace nestsim {
 void NestPolicy::Attach(Kernel* kernel) {
   SchedulerPolicy::Attach(kernel);
   cfs_.Attach(kernel);
-  cores_.assign(kernel->topology().num_cpus(), CoreInfo{});
-}
-
-int NestPolicy::PrimarySize() const {
-  int count = 0;
-  for (const CoreInfo& core : cores_) {
-    count += core.in_primary ? 1 : 0;
+  const Topology& topo = kernel->topology();
+  cores_.assign(topo.num_cpus(), CoreInfo{});
+  primary_mask_ = CpuMask();
+  reserve_mask_ = CpuMask();
+  die_masks_.assign(topo.num_sockets(), CpuMask());
+  for (int cpu = 0; cpu < topo.num_cpus(); ++cpu) {
+    die_masks_[topo.SocketOf(cpu)].Set(cpu);
   }
-  return count;
 }
 
 // ---------------------------------------------------------------------------
@@ -23,44 +22,42 @@ int NestPolicy::PrimarySize() const {
 // ---------------------------------------------------------------------------
 
 void NestPolicy::AddToPrimary(int cpu) {
-  if (cores_[cpu].in_reserve) {
+  if (InReserve(cpu)) {
     RemoveFromReserve(cpu);
   }
-  const bool was_primary = cores_[cpu].in_primary;
-  cores_[cpu].in_primary = true;
+  const bool was_primary = InPrimary(cpu);
   cores_[cpu].compaction_eligible = false;
+  primary_mask_.Set(cpu);
   if (!was_primary) {
     kernel_->NotifyNestEvent(NestEventKind::kPromote, cpu);
   }
 }
 
 void NestPolicy::AddToReserve(int cpu) {
-  if (cores_[cpu].in_primary || cores_[cpu].in_reserve) {
+  if (InPrimary(cpu) || InReserve(cpu)) {
     return;
   }
   if (!params_.enable_reserve) {
     return;
   }
-  if (reserve_size_ >= params_.r_max) {
+  if (reserve_mask_.Count() >= params_.r_max) {
     // Reserve full: the core joins no nest (§3.1).
     kernel_->NotifyNestEvent(NestEventKind::kReserveFull, cpu);
     return;
   }
-  cores_[cpu].in_reserve = true;
-  ++reserve_size_;
+  reserve_mask_.Set(cpu);
   kernel_->NotifyNestEvent(NestEventKind::kReserveAdd, cpu);
 }
 
 void NestPolicy::RemoveFromPrimary(int cpu) {
-  assert(cores_[cpu].in_primary);
-  cores_[cpu].in_primary = false;
+  assert(InPrimary(cpu));
   cores_[cpu].compaction_eligible = false;
+  primary_mask_.Clear(cpu);
 }
 
 void NestPolicy::RemoveFromReserve(int cpu) {
-  assert(cores_[cpu].in_reserve);
-  cores_[cpu].in_reserve = false;
-  --reserve_size_;
+  assert(InReserve(cpu));
+  reserve_mask_.Clear(cpu);
 }
 
 void NestPolicy::DemoteFromPrimary(int cpu) {
@@ -75,7 +72,7 @@ void NestPolicy::MarkUsed(int cpu) {
 
 void NestPolicy::OnTaskEnqueued(Task& task, int cpu) {
   (void)task;
-  if (cores_[cpu].in_primary || cores_[cpu].in_reserve) {
+  if (InPrimary(cpu) || InReserve(cpu)) {
     MarkUsed(cpu);
   }
 }
@@ -84,24 +81,24 @@ void NestPolicy::OnTaskExit(Task& task, int cpu) {
   (void)task;
   // A task terminated and left the core idle: the core is no longer useful
   // and is demoted immediately (§3.1).
-  if (cores_[cpu].in_primary && kernel_->CpuIdle(cpu)) {
+  if (InPrimary(cpu) && kernel_->CpuIdle(cpu)) {
     kernel_->NotifyNestEvent(NestEventKind::kDemote, cpu);
     DemoteFromPrimary(cpu);
   }
 }
 
 void NestPolicy::OnCpuOffline(int cpu) {
-  if (cores_[cpu].in_primary) {
+  if (InPrimary(cpu)) {
     kernel_->NotifyNestEvent(NestEventKind::kDemote, cpu);
     RemoveFromPrimary(cpu);
   }
-  if (cores_[cpu].in_reserve) {
+  if (InReserve(cpu)) {
     RemoveFromReserve(cpu);
   }
 }
 
 int NestPolicy::IdleSpinTicks(int cpu) {
-  if (!params_.enable_spin || !cores_[cpu].in_primary) {
+  if (!params_.enable_spin || !InPrimary(cpu)) {
     return 0;
   }
   return params_.s_max_ticks;
@@ -113,10 +110,9 @@ void NestPolicy::OnTick() {
   }
   const SimTime now = kernel_->engine().Now();
   const SimDuration limit = params_.p_remove_ticks * kTickPeriod;
-  for (int cpu = 0; cpu < static_cast<int>(cores_.size()); ++cpu) {
+  for (int cpu : primary_mask_) {
     CoreInfo& core = cores_[cpu];
-    if (core.in_primary && !core.compaction_eligible && kernel_->CpuIdle(cpu) &&
-        now - core.last_used >= limit) {
+    if (!core.compaction_eligible && kernel_->CpuIdle(cpu) && now - core.last_used >= limit) {
       core.compaction_eligible = true;
     }
   }
@@ -127,45 +123,23 @@ void NestPolicy::OnTick() {
 // ---------------------------------------------------------------------------
 
 int NestPolicy::SearchPrimary(int anchor, bool anchor_die_only) {
-  const Topology& topo = kernel_->topology();
-  const int anchor_die = topo.SocketOf(anchor);
-  const int num_cpus = topo.num_cpus();
-
   // Visit order (§3.1): the anchor's die first, then everything else; each
-  // group in numerical order starting from the anchor. A single wrapped
-  // traversal handles the on-die group inline and defers off-die cpus to a
-  // scratch list — identical visit order, half the scanning. Deferral is
-  // sound because the on-die side effects (compaction demotes) only mutate
-  // the visited core, and deferred cores are re-examined at their turn.
-  offdie_scratch_.clear();
-  for (int i = 0; i < num_cpus; ++i) {
-    const int cpu = anchor + i < num_cpus ? anchor + i : anchor + i - num_cpus;
-    if (topo.SocketOf(cpu) != anchor_die) {
-      if (!anchor_die_only && cores_[cpu].in_primary) {
-        offdie_scratch_.push_back(cpu);
-      }
-      continue;
-    }
-    CoreInfo& core = cores_[cpu];
-    if (!core.in_primary) {
-      continue;
-    }
-    if (core.compaction_eligible) {
-      // A task touched an expired core: compaction happens now (§3.1).
-      kernel_->NotifyNestEvent(NestEventKind::kCompact, cpu);
-      DemoteFromPrimary(cpu);
-      continue;
-    }
-    if (kernel_->CpuIdleUnclaimed(cpu)) {
-      return cpu;
-    }
+  // group in numerical order starting from the anchor. The on-die pass only
+  // ever demotes the core it is visiting, so the off-die candidates it
+  // leaves behind are exactly the off-die primary cores at their turn.
+  const CpuMask& die = die_masks_[kernel_->topology().SocketOf(anchor)];
+  const int found = SearchPrimaryIn(primary_mask_ & die, anchor);
+  if (found >= 0 || anchor_die_only) {
+    return found;
   }
-  for (int cpu : offdie_scratch_) {
-    CoreInfo& core = cores_[cpu];
-    if (!core.in_primary) {  // re-check: unchanged by on-die demotes, but cheap
-      continue;
-    }
-    if (core.compaction_eligible) {
+  return SearchPrimaryIn(primary_mask_ & ~die, anchor);
+}
+
+int NestPolicy::SearchPrimaryIn(CpuMask candidates, int start) {
+  for (int cpu = candidates.NextFrom(start); cpu >= 0; cpu = candidates.NextFrom(cpu + 1)) {
+    candidates.Clear(cpu);
+    if (cores_[cpu].compaction_eligible) {
+      // A task touched an expired core: compaction happens now (§3.1).
       kernel_->NotifyNestEvent(NestEventKind::kCompact, cpu);
       DemoteFromPrimary(cpu);
       continue;
@@ -178,35 +152,23 @@ int NestPolicy::SearchPrimary(int anchor, bool anchor_die_only) {
 }
 
 int NestPolicy::SearchReserve(int anchor, bool anchor_die_only) {
-  if (!params_.enable_reserve || reserve_size_ == 0) {
+  if (!params_.enable_reserve || reserve_mask_.Empty()) {
     return -1;
   }
-  const Topology& topo = kernel_->topology();
-  const int anchor_die = topo.SocketOf(anchor);
-  const int num_cpus = topo.num_cpus();
   // The reserve search starts from a fixed core — the one where Nest was
-  // started — to limit dispersal (§3.1).
+  // started — to limit dispersal (§3.1). It has no side effects.
   const int fixed = kernel_->root_cpu() >= 0 ? kernel_->root_cpu() : 0;
-
-  // Same single-traversal structure as SearchPrimary; the reserve scan has
-  // no side effects at all, so deferring off-die cpus is trivially exact.
-  offdie_scratch_.clear();
-  for (int i = 0; i < num_cpus; ++i) {
-    const int cpu = fixed + i < num_cpus ? fixed + i : fixed + i - num_cpus;
-    if (!cores_[cpu].in_reserve) {
-      continue;
-    }
-    if (topo.SocketOf(cpu) != anchor_die) {
-      if (!anchor_die_only) {
-        offdie_scratch_.push_back(cpu);
-      }
-      continue;
-    }
-    if (kernel_->CpuIdleUnclaimed(cpu)) {
-      return cpu;
-    }
+  const CpuMask& die = die_masks_[kernel_->topology().SocketOf(anchor)];
+  const int found = SearchReserveIn(reserve_mask_ & die, fixed);
+  if (found >= 0 || anchor_die_only) {
+    return found;
   }
-  for (int cpu : offdie_scratch_) {
+  return SearchReserveIn(reserve_mask_ & ~die, fixed);
+}
+
+int NestPolicy::SearchReserveIn(CpuMask candidates, int start) const {
+  for (int cpu = candidates.NextFrom(start); cpu >= 0; cpu = candidates.NextFrom(cpu + 1)) {
+    candidates.Clear(cpu);
     if (kernel_->CpuIdleUnclaimed(cpu)) {
       return cpu;
     }
@@ -298,7 +260,7 @@ int NestPolicy::SelectCpuWake(Task& task, const WakeContext& ctx) {
   // back there first, and may even reclaim a compaction-eligible core.
   if (params_.enable_attach && task.prev_cpu >= 0 && task.prev_cpu == task.prev_prev_cpu) {
     const int attached = task.prev_cpu;
-    if (cores_[attached].in_primary && kernel_->CpuIdleUnclaimed(attached)) {
+    if (InPrimary(attached) && kernel_->CpuIdleUnclaimed(attached)) {
       task.placement_path = PlacementPath::kNestAttached;
       MarkUsed(attached);
       return attached;

@@ -67,25 +67,23 @@ class NestPolicy : public SchedulerPolicy {
     return params_.enable_placement_reservation;
   }
   int NestMembership(int cpu) const override {
-    return cores_[cpu].in_primary ? 2 : (cores_[cpu].in_reserve ? 1 : 0);
+    return InPrimary(cpu) ? 2 : (InReserve(cpu) ? 1 : 0);
   }
 
   const NestParams& params() const { return params_; }
 
   // Introspection for tests and metrics.
-  bool InPrimary(int cpu) const { return cores_[cpu].in_primary; }
-  bool InReserve(int cpu) const { return cores_[cpu].in_reserve; }
+  bool InPrimary(int cpu) const { return primary_mask_.Test(cpu); }
+  bool InReserve(int cpu) const { return reserve_mask_.Test(cpu); }
   bool CompactionEligible(int cpu) const { return cores_[cpu].compaction_eligible; }
-  int PrimarySize() const;
-  int ReserveSize() const { return reserve_size_; }
+  int PrimarySize() const { return primary_mask_.Count(); }
+  int ReserveSize() const { return reserve_mask_.Count(); }
 
  protected:
   // Subclass seam: NestCachePolicy (src/nest/nest_cache_policy.h) reuses the
   // membership management and searches, re-anchors selection toward a warm
   // LLC, and overrides the fallbacks to expand onto cache-cheap cores.
   struct CoreInfo {
-    bool in_primary = false;
-    bool in_reserve = false;
     bool compaction_eligible = false;
     SimTime last_used = 0;
   };
@@ -96,12 +94,15 @@ class NestPolicy : public SchedulerPolicy {
   virtual int SelectCommon(Task& task, int anchor_cpu, bool is_fork, const WakeContext& ctx);
 
   // Searches the primary nest for an idle unclaimed core: same die as
-  // `anchor` first, then the other dies; numerical order from `anchor`.
-  // Demotes compaction-eligible cores it touches along the way. With
+  // `anchor` first, then the other dies; numerical order from `anchor`,
+  // wrapping past the last CPU. Demotes compaction-eligible cores it touches
+  // along the way. Each pass walks only nest members — primary_mask_ AND or
+  // AND-NOT the anchor's die mask, rotated with CpuMask::NextFrom — so its
+  // cost follows the nest size, not the machine width. With
   // `anchor_die_only` the off-die pass is skipped entirely.
   int SearchPrimary(int anchor, bool anchor_die_only = false);
-  // Searches the reserve nest, starting from the fixed core (root_cpu),
-  // anchored die first; `anchor_die_only` skips the off-die pass.
+  // Searches the reserve nest the same way, starting from the fixed core
+  // (root_cpu), anchored die first; `anchor_die_only` skips the off-die pass.
   int SearchReserve(int anchor, bool anchor_die_only = false);
 
   // Virtual so NestCachePolicy can make nest *expansion* migration-cost
@@ -110,6 +111,8 @@ class NestPolicy : public SchedulerPolicy {
   virtual int CfsFallbackFork(Task& child, int parent_cpu);
   virtual int CfsFallbackWake(Task& task, const WakeContext& ctx);
 
+  // The only writers of nest membership (primary_mask_/reserve_mask_);
+  // subclasses only read it.
   void AddToPrimary(int cpu);
   void AddToReserve(int cpu);  // respects r_max; may drop the core instead
   void RemoveFromPrimary(int cpu);
@@ -120,10 +123,15 @@ class NestPolicy : public SchedulerPolicy {
   NestParams params_;
   CfsPolicy cfs_;
   std::vector<CoreInfo> cores_;
-  // Reused by SearchPrimary/SearchReserve for the deferred off-die pass;
-  // member to avoid a per-search allocation.
-  std::vector<int> offdie_scratch_;
-  int reserve_size_ = 0;
+  CpuMask primary_mask_;  // the primary nest
+  CpuMask reserve_mask_;  // the reserve nest, disjoint from the primary
+  std::vector<CpuMask> die_masks_;  // by socket; built in Attach
+
+ private:
+  // One search pass over `candidates` in rotated order from `start`; the
+  // primary pass demotes compaction-eligible cores as it meets them.
+  int SearchPrimaryIn(CpuMask candidates, int start);
+  int SearchReserveIn(CpuMask candidates, int start) const;
 };
 
 }  // namespace nestsim

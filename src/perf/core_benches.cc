@@ -1,11 +1,17 @@
 #include "src/perf/core_benches.h"
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
+#include "src/cfs/cfs_policy.h"
+#include "src/governors/governors.h"
+#include "src/hw/hardware.h"
+#include "src/kernel/kernel.h"
 #include "src/kernel/pelt.h"
 #include "src/kernel/run_queue.h"
 #include "src/kernel/task.h"
+#include "src/nest/nest_policy.h"
 #include "src/obs/json_check.h"
 #include "src/scenario/runner.h"
 #include "src/scenario/scenario.h"
@@ -134,6 +140,109 @@ uint64_t PeltUpdates(Rng& rng) {
   return static_cast<uint64_t>(kPeltOps) + (sink < 0.0 ? 1 : 0);
 }
 
+// ---- Placement selection on a warmed machine ------------------------------
+
+constexpr int kSelectOps = 2000;
+
+// Parent, previous and waking CPUs all run hogs: forks must look
+// elsewhere, and wakeups cannot simply take the previous CPU.
+constexpr int kBusyCpu = 1;
+constexpr int kWakerCpu = 5;
+
+// One machine warmed by real traffic, so placement sees what it sees
+// mid-run: about a quarter of the CPUs, drawn at random so sockets and cores
+// differ in idle count as they do under real load, run endless hogs, and a
+// burst of injected requests went through the policy's fork path, ran and
+// exited, leaving residual utilisation, decaying placement loads and (for
+// Nest) nest membership. A fresh idle box would instead hit every early-out
+// (drained signals, empty nests) and time nothing of interest.
+struct SelectFixture {
+  SelectFixture(const char* machine, std::unique_ptr<SchedulerPolicy> p)
+      : hw(&engine, MachineByName(machine)),
+        policy(std::move(p)),
+        kernel(&engine, &hw, policy.get(), &governor) {
+    kernel.Start();
+    const int n = kernel.topology().num_cpus();
+    Rng rng(7);
+    Hog(kBusyCpu);  // the first spawn: kBusyCpu becomes root_cpu
+    for (int cpu = 0; cpu < n; ++cpu) {
+      if (cpu == kWakerCpu || (cpu != kBusyCpu && rng.NextDouble() < 0.25)) {
+        Hog(cpu);
+      }
+    }
+    for (int i = 0; i < n / 2; ++i) {
+      ProgramBuilder req("req");
+      req.ComputeUs(200.0 + rng.NextDouble(0.0, 1800.0));
+      kernel.ScheduleInjection(static_cast<SimTime>(rng.NextBounded(8 * kMillisecond)),
+                               req.Build(), "req", 1);
+    }
+    engine.RunUntil(10 * kMillisecond);
+    task.tid = 1;
+  }
+
+  void Hog(int cpu) {
+    ProgramBuilder hog("hog");
+    hog.Compute(1e15);
+    kernel.SpawnInitial(hog.Build(), "hog", 0, cpu);
+  }
+
+  // Moves the clock by a ragged step without firing events, so every
+  // selection decays the signals it reads (no dt == 0 shortcuts); the
+  // machine state is otherwise frozen.
+  void Step(int i) {
+    engine.AdvanceTo(engine.Now() + 5 * kMicrosecond + (i * 7919) % (20 * kMicrosecond));
+  }
+
+  // The chosen CPU's enqueue footprint (Kernel::EnqueueTask bumps its
+  // placement load), so successive selections see their predecessors.
+  void Land(int cpu) { kernel.rq(cpu).BumpPlacement(engine.Now()); }
+
+  Engine engine;
+  HardwareModel hw;
+  SchedutilGovernor governor;
+  std::unique_ptr<SchedulerPolicy> policy;
+  Kernel kernel;
+  Task task;
+};
+
+// Runs the select/<policy>/<path>@<cpus> records for one machine.
+void RunSelectBenches(const char* machine, const BenchOptions& bench, BenchReport* report) {
+  struct Case {
+    const char* policy;
+    bool fork;
+  };
+  for (const Case& c : {Case{"cfs", true}, Case{"cfs", false}, Case{"nest", true},
+                        Case{"nest", false}}) {
+    std::unique_ptr<SchedulerPolicy> policy;
+    if (std::string(c.policy) == "cfs") {
+      policy = std::make_unique<CfsPolicy>();
+    } else {
+      policy = std::make_unique<NestPolicy>();
+    }
+    SelectFixture fx(machine, std::move(policy));
+    const std::string name = std::string("select/") + c.policy + (c.fork ? "/fork@" : "/wake@") +
+                             std::to_string(fx.kernel.topology().num_cpus());
+    report->Add(MeasureMedian(name, bench, [&fx, &c] {
+      for (int i = 0; i < kSelectOps; ++i) {
+        fx.Step(i);
+        int cpu;
+        if (c.fork) {
+          cpu = fx.policy->SelectCpuFork(fx.task, kBusyCpu);
+        } else {
+          fx.task.prev_cpu = kBusyCpu;
+          fx.task.prev_prev_cpu = -1;
+          fx.task.impatience = 0;
+          WakeContext ctx;
+          ctx.waker_cpu = kWakerCpu;
+          cpu = fx.policy->SelectCpuWake(fx.task, ctx);
+        }
+        fx.Land(cpu);
+      }
+      return static_cast<uint64_t>(kSelectOps);
+    }));
+  }
+}
+
 std::string FileStem(const std::string& file) {
   const size_t slash = file.find_last_of('/');
   std::string stem = slash == std::string::npos ? file : file.substr(slash + 1);
@@ -165,6 +274,9 @@ void RunMicroBenches(const CoreBenchOptions& options, BenchReport* report) {
       Rng rng(42);  // same op sequence for every sample and every build
       return b.body(rng);
     }));
+  }
+  for (const char* machine : {"amd-4650g-1s", "intel-5218-2s", "intel-8153-8s"}) {
+    RunSelectBenches(machine, bench, report);
   }
 }
 

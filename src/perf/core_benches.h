@@ -2,7 +2,8 @@
 //
 // Microbenchmarks cover the three structures the discrete-event hot path
 // lives in — the cancellable event queue, the vruntime run queue, and the
-// PELT decay math — and grid benchmarks run whole committed scenarios
+// PELT decay math — plus the policies' placement selection per machine
+// width; grid benchmarks run whole committed scenarios
 // (table4, fig12) end to end, reporting fired simulation events per second.
 // Quick mode shrinks the grids to CI size; the record names gain a ":quick"
 // suffix so quick and full measurements are never compared to each other.
@@ -23,7 +24,10 @@ struct CoreBenchOptions {
   int grid_samples = 0;  // 0 = default (3 quick, 1 full)
 };
 
-// Event-queue, run-queue, and PELT microbenchmarks.
+// Event-queue, run-queue and PELT microbenchmarks, and the placement
+// selection records select/{cfs,nest}/{fork,wake}@{12,64,256}: SelectCpuFork
+// and SelectCpuWake on a warmed amd-4650g-1s, intel-5218-2s and
+// intel-8153-8s.
 void RunMicroBenches(const CoreBenchOptions& options, BenchReport* report);
 
 // Runs the scenario grid in `scenario_file` (resolved via the standard

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "src/cfs/cfs_policy.h"
 #include "src/governors/governors.h"
@@ -452,6 +454,37 @@ TEST(KernelTest, NestedLoopsExecuteFully) {
   Task* t = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
   rig.RunToCompletion();
   EXPECT_EQ(t->exited_at, 6 * kMillisecond);
+}
+
+// intel-8153-8s already fills a CpuMask exactly (256 CPUs). A 9-socket
+// machine (288 CPUs) must be refused when the kernel is built, with both
+// counts in the message, before any mask is written.
+TEST(KernelTest, MachineWiderThanCpuMaskFailsAtConstruction) {
+  const MachineSpec spec = FixedFreqMachine(/*sockets=*/9, /*phys_per_socket=*/16,
+                                            /*threads_per_core=*/2);
+  Engine engine;
+  HardwareModel hw(&engine, spec);
+  ASSERT_EQ(hw.topology().num_cpus(), 288);
+  CfsPolicy cfs;
+  PerformanceGovernor governor;
+  try {
+    Kernel kernel(&engine, &hw, &cfs, &governor);
+    FAIL() << "a 288-CPU kernel was constructed";
+  } catch (const std::length_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("288"), std::string::npos) << message;
+    EXPECT_NE(message.find("256"), std::string::npos) << message;
+  }
+}
+
+TEST(KernelTest, FullWidthMachineFitsCpuMask) {
+  const MachineSpec spec = FixedFreqMachine(8, 16, 2);
+  Engine engine;
+  HardwareModel hw(&engine, spec);
+  CfsPolicy cfs;
+  PerformanceGovernor governor;
+  Kernel kernel(&engine, &hw, &cfs, &governor);
+  EXPECT_EQ(kernel.idle_cpus().Count(), CpuMask::kMaxCpus);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include "src/sim/random.h"
+
 namespace nestsim {
 namespace {
 
@@ -67,6 +74,58 @@ TEST(PeltTest, SetOverridesState) {
   signal.Set(5 * kMillisecond, 0.42);
   EXPECT_DOUBLE_EQ(signal.raw(), 0.42);
   EXPECT_EQ(signal.last_update(), 5 * kMillisecond);
+}
+
+// A signal at 1.0 decayed over dt holds exactly its decay factor: 1.0 * d.
+uint64_t FactorBits(PeltSignal& signal, SimTime from, SimDuration dt) {
+  signal.Set(from, 1.0);
+  signal.Update(from + dt, 0.0);
+  return std::bit_cast<uint64_t>(signal.raw());
+}
+
+uint64_t Exp2Bits(SimDuration dt) { return std::bit_cast<uint64_t>(pelt_detail::Exp2Decay(dt)); }
+
+// Many signals share the per-signal memo, the thread's shared memo and the
+// millisecond table; whichever path serves a dt, the factor must be the very
+// double Exp2Decay computes. Runs of equal dt (the shared memo's hits) are
+// interleaved with fresh ragged dts, whole milliseconds and repeats of a
+// signal's own last dt.
+void CheckInterleavedFactors(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PeltSignal> signals(16);
+  std::vector<SimDuration> pool;
+  for (int i = 0; i < 6; ++i) {
+    pool.push_back(1 + static_cast<SimDuration>(rng.NextBounded(50 * kMillisecond)));
+  }
+  pool.push_back(4 * kMillisecond);     // table hit
+  pool.push_back(2000 * kMillisecond);  // whole ms, past the table
+  SimTime now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const SimDuration dt = rng.NextDouble() < 0.8
+                               ? pool[rng.NextBounded(pool.size())]
+                               : 1 + static_cast<SimDuration>(rng.NextBounded(kMillisecond));
+    const int run = 1 + static_cast<int>(rng.NextBounded(signals.size()));
+    for (int i = 0; i < run; ++i) {
+      PeltSignal& signal = signals[rng.NextBounded(signals.size())];
+      ASSERT_EQ(FactorBits(signal, now, dt), Exp2Bits(dt)) << "seed " << seed << " dt " << dt;
+    }
+    now += 1 + static_cast<SimTime>(rng.NextBounded(kMillisecond));
+  }
+}
+
+TEST(PeltTest, SharedDecayMemoIsBitIdenticalToExp2) { CheckInterleavedFactors(1); }
+
+// The shared memo is per thread: two threads hammering different dt sets at
+// once must never see each other's factors (the TSan job also checks there
+// is no data race).
+TEST(PeltTest, SharedDecayMemoIsPerThread) {
+  std::vector<std::thread> threads;
+  for (uint64_t seed : {100, 101}) {
+    threads.emplace_back([seed] { CheckInterleavedFactors(seed); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
 }
 
 }  // namespace

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/governors/governors.h"
+#include "src/sim/random.h"
 #include "tests/testing/test_machine.h"
 
 namespace nestsim {
@@ -368,6 +372,233 @@ TEST(NestPolicyTest, PrimarySizeCounts) {
   EXPECT_TRUE(rig.nest.InPrimary(c));
   EXPECT_EQ(rig.nest.PrimarySize(), 1);
 }
+
+// ---------------------------------------------------------------------------
+// Differential test of the mask-based nest searches against the linear scans
+// they replaced.
+// ---------------------------------------------------------------------------
+
+// Exposes the searches and keeps a copy of the pre-mask linear
+// SearchPrimary/SearchReserve (a local list in place of the old member
+// scratch vector): a wrapped walk over every CPU of the machine, on-die
+// inline, off-die deferred to the list.
+class SearchProbe : public NestPolicy {
+ public:
+  using NestPolicy::NestPolicy;
+  using NestPolicy::SearchPrimary;
+  using NestPolicy::SearchReserve;
+
+  // Forces `cpu`'s membership: 0 none, 1 reserve (subject to r_max), 2
+  // primary, optionally compaction-eligible.
+  void ForceMembership(int cpu, int membership, bool eligible) {
+    if (InPrimary(cpu)) {
+      RemoveFromPrimary(cpu);
+    }
+    if (InReserve(cpu)) {
+      RemoveFromReserve(cpu);
+    }
+    if (membership == 2) {
+      AddToPrimary(cpu);
+      cores_[cpu].compaction_eligible = eligible;
+    } else if (membership == 1) {
+      AddToReserve(cpu);
+    }
+  }
+
+  int ReferenceSearchPrimary(int anchor, bool anchor_die_only) {
+    const Topology& topo = kernel_->topology();
+    const int anchor_die = topo.SocketOf(anchor);
+    const int num_cpus = topo.num_cpus();
+    std::vector<int> offdie;
+    for (int i = 0; i < num_cpus; ++i) {
+      const int cpu = anchor + i < num_cpus ? anchor + i : anchor + i - num_cpus;
+      if (topo.SocketOf(cpu) != anchor_die) {
+        if (!anchor_die_only && InPrimary(cpu)) {
+          offdie.push_back(cpu);
+        }
+        continue;
+      }
+      if (!InPrimary(cpu)) {
+        continue;
+      }
+      if (cores_[cpu].compaction_eligible) {
+        kernel_->NotifyNestEvent(NestEventKind::kCompact, cpu);
+        DemoteFromPrimary(cpu);
+        continue;
+      }
+      if (kernel_->CpuIdleUnclaimed(cpu)) {
+        return cpu;
+      }
+    }
+    for (int cpu : offdie) {
+      if (!InPrimary(cpu)) {
+        continue;
+      }
+      if (cores_[cpu].compaction_eligible) {
+        kernel_->NotifyNestEvent(NestEventKind::kCompact, cpu);
+        DemoteFromPrimary(cpu);
+        continue;
+      }
+      if (kernel_->CpuIdleUnclaimed(cpu)) {
+        return cpu;
+      }
+    }
+    return -1;
+  }
+
+  int ReferenceSearchReserve(int anchor, bool anchor_die_only) {
+    if (!params_.enable_reserve || ReserveSize() == 0) {
+      return -1;
+    }
+    const Topology& topo = kernel_->topology();
+    const int anchor_die = topo.SocketOf(anchor);
+    const int num_cpus = topo.num_cpus();
+    const int fixed = kernel_->root_cpu() >= 0 ? kernel_->root_cpu() : 0;
+    std::vector<int> offdie;
+    for (int i = 0; i < num_cpus; ++i) {
+      const int cpu = fixed + i < num_cpus ? fixed + i : fixed + i - num_cpus;
+      if (!InReserve(cpu)) {
+        continue;
+      }
+      if (topo.SocketOf(cpu) != anchor_die) {
+        if (!anchor_die_only) {
+          offdie.push_back(cpu);
+        }
+        continue;
+      }
+      if (kernel_->CpuIdleUnclaimed(cpu)) {
+        return cpu;
+      }
+    }
+    for (int cpu : offdie) {
+      if (kernel_->CpuIdleUnclaimed(cpu)) {
+        return cpu;
+      }
+    }
+    return -1;
+  }
+};
+
+class NestEventLog : public KernelObserver {
+ public:
+  uint32_t InterestMask() const override { return kObsNestEvent; }
+  void OnNestEvent(SimTime now, NestEventKind kind, int cpu) override {
+    (void)now;
+    events.emplace_back(kind, cpu);
+  }
+  std::vector<std::pair<NestEventKind, int>> events;
+};
+
+// One machine in a random state drawn from `seed`: busy, claimed and offline
+// CPUs, and random primary/reserve/compaction-eligible membership. Two rigs
+// from the same seed are identical.
+struct SearchRig {
+  SearchRig(const std::string& machine, uint64_t seed)
+      : hw(&engine, MachineByName(machine)), nest(DrawParams(seed)),
+        kernel(&engine, &hw, &nest, &governor) {
+    kernel.Start();
+    Rng rng(seed);
+    const int n = kernel.topology().num_cpus();
+    const double busy = std::vector<double>{0.05, 0.4, 0.9}[rng.NextBounded(3)];
+    const double member = std::vector<double>{0.05, 0.3, 0.8}[rng.NextBounded(3)];
+    // The first spawn fixes root_cpu, the reserve search's start.
+    Spawn(static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n))));
+    for (int cpu = 0; cpu < n; ++cpu) {
+      if (rng.NextDouble() < busy && kernel.CpuIdle(cpu)) {
+        Spawn(cpu);
+      }
+    }
+    for (int cpu = 0; cpu < n; ++cpu) {
+      if (rng.NextDouble() < 0.03) {
+        kernel.OfflineCpu(cpu);
+      }
+    }
+    for (int cpu = 0; cpu < n; ++cpu) {
+      if (kernel.CpuIdle(cpu) && rng.NextDouble() < 0.1) {
+        kernel.TryClaimCpu(cpu);
+      }
+    }
+    for (int cpu = 0; cpu < n; ++cpu) {
+      int membership = 0;  // offline cores stay out of both nests
+      if (kernel.CpuOnline(cpu) && rng.NextDouble() < member) {
+        membership = 1 + static_cast<int>(rng.NextBounded(2));
+      }
+      nest.ForceMembership(cpu, membership, rng.NextDouble() < 0.3);
+    }
+    kernel.AddObserver(&log);
+  }
+
+  // Alternate seeds bound the reserve (r_max 5, so demotes can drop cores)
+  // or leave it effectively unbounded.
+  static NestParams DrawParams(uint64_t seed) {
+    NestParams params;
+    params.r_max = seed % 2 == 0 ? 5 : CpuMask::kMaxCpus;
+    return params;
+  }
+
+  void Spawn(int cpu) {
+    ProgramBuilder b("hog");
+    b.Compute(1e12);
+    kernel.SpawnInitial(b.Build(), "hog", 0, cpu);
+  }
+
+  std::vector<int> Membership() const {
+    std::vector<int> out;
+    for (int cpu = 0; cpu < kernel.topology().num_cpus(); ++cpu) {
+      out.push_back(nest.NestMembership(cpu) * 2 + (nest.CompactionEligible(cpu) ? 1 : 0));
+    }
+    return out;
+  }
+
+  Engine engine;
+  HardwareModel hw;
+  PerformanceGovernor governor;
+  SearchProbe nest;
+  Kernel kernel;
+  NestEventLog log;
+};
+
+class NestSearchDifferentialTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(NestSearchDifferentialTest, MaskSearchesMatchLinearScans) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SearchRig fast(GetParam(), seed);
+    SearchRig ref(GetParam(), seed);
+    ASSERT_EQ(fast.Membership(), ref.Membership());
+    Rng rng(seed * 7919);
+    const int n = fast.kernel.topology().num_cpus();
+    // A few searches per state, so earlier compaction demotes shape later
+    // searches; primary and reserve, with and without anchor_die_only.
+    for (int step = 0; step < 8; ++step) {
+      const int anchor = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+      const bool die_only = rng.NextBounded(2) == 0;
+      const bool primary = step % 2 == 0;
+      const int got = primary ? fast.nest.SearchPrimary(anchor, die_only)
+                              : fast.nest.SearchReserve(anchor, die_only);
+      const int want = primary ? ref.nest.ReferenceSearchPrimary(anchor, die_only)
+                               : ref.nest.ReferenceSearchReserve(anchor, die_only);
+      const std::string where = std::string(GetParam()) + " seed " + std::to_string(seed) +
+                                " step " + std::to_string(step);
+      ASSERT_EQ(got, want) << where;
+      ASSERT_EQ(fast.Membership(), ref.Membership()) << where;  // same demotes
+      ASSERT_EQ(fast.log.events, ref.log.events) << where;      // same kCompact order
+      ASSERT_EQ(fast.nest.PrimarySize(), ref.nest.PrimarySize()) << where;
+      ASSERT_EQ(fast.nest.ReserveSize(), ref.nest.ReserveSize()) << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, NestSearchDifferentialTest,
+                         ::testing::Values("amd-4650g-1s", "intel-5218-2s", "intel-8153-8s"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (c == '-') {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace nestsim

@@ -29,7 +29,8 @@ int Usage(const char* argv0) {
                "\n"
                "options:\n"
                "  --quick            CI-sized grid slices; record names gain ':quick'\n"
-               "  --no-micro         skip the event-queue/run-queue/PELT microbenches\n"
+               "  --no-micro         skip the microbenches (event queue, run queue, PELT,\n"
+               "                     select/{cfs,nest}/{fork,wake}@{12,64,256})\n"
                "  --grid FILE        grid scenario to benchmark (repeatable;\n"
                "                     default: table4.json fig12.json)\n"
                "  --no-grid          skip the grid benchmarks entirely\n"
