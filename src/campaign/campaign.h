@@ -7,7 +7,7 @@
 // structure) and outcomes land in a slot vector indexed by submission order,
 // so results are deterministic and bitwise-identical for any worker count.
 // NESTSIM_JOBS=1 runs everything serially on the calling thread, in
-// submission order — exactly the old per-bench loops.
+// submission order.
 
 #ifndef NESTSIM_SRC_CAMPAIGN_CAMPAIGN_H_
 #define NESTSIM_SRC_CAMPAIGN_CAMPAIGN_H_
@@ -23,8 +23,8 @@ namespace nestsim {
 int CampaignJobsFromEnv();
 
 // Per-cell repetition count: NESTSIM_REPS when set to a positive integer,
-// otherwise `fallback`. Every bench and the scenario engine resolve their
-// repetition counts through this so the environment override works uniformly.
+// otherwise `fallback`. The scenario engine resolves repetition counts
+// through this so the environment override works uniformly.
 int RepetitionsFromEnv(int fallback);
 
 struct CampaignOptions {

@@ -1,8 +1,6 @@
-// Canonical table printers for paper-style reports.
-//
-// Shared by the figure/table benches (bench/bench_util.h) and the scenario
-// runner (src/scenario/runner.h) so both print byte-identical headers,
-// machine banners, and speedup cells.
+// Canonical table printers for paper-style reports: the header banner,
+// machine banners and speedup cells every scenario table style
+// (src/scenario/runner.cc) prints.
 
 #ifndef NESTSIM_SRC_SCENARIO_REPORT_H_
 #define NESTSIM_SRC_SCENARIO_REPORT_H_

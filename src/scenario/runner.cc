@@ -1,16 +1,23 @@
 #include "src/scenario/runner.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 
 #include "src/cluster/cluster.h"
 #include "src/hw/machine_spec.h"
+#include "src/hw/topology.h"
 #include "src/metrics/stats.h"
+#include "src/metrics/trace.h"
 #include "src/scenario/registry.h"
 #include "src/scenario/report.h"
+#include "src/workloads/multi.h"
 
 namespace nestsim {
 
@@ -122,7 +129,7 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
   for (const std::string& machine : scenario.machines) {
     for (const ScenarioRow& row : scenario.rows) {
       // One workload model per (machine, row); variant and sweep jobs share
-      // it, exactly as GridCampaign's RowFactory contract.
+      // it.
       std::shared_ptr<const Workload> model(
           family->build(row.label, row.has_params ? &row.params : nullptr,
                         scenario.name + "/" + row.label, *err));
@@ -142,6 +149,12 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
           if (scenario.has_config) {
             for (const auto& [key, value] : scenario.config.members) {
               ApplyConfigOverride(&job.config, key, value, scenario.name + "/config", err);
+            }
+          }
+          if (variant.has_config) {
+            for (const auto& [key, value] : variant.config.members) {
+              ApplyConfigOverride(&job.config, key, value,
+                                  scenario.name + "/variants/" + variant.label + "/config", err);
             }
           }
           for (size_t a = 0; a < scenario.sweep.size(); ++a) {
@@ -364,6 +377,158 @@ void PrintBandsTable(const ScenarioRun& run, size_t m, size_t s) {
   }
 }
 
+// Figs. 6/11 layout: per row, one line per variant with the share of
+// task-execution time in the two highest frequency buckets and in every
+// bucket, from the histogram summed across repetitions.
+void PrintFreqTable(const ScenarioRun& run, size_t m, size_t s) {
+  const Scenario& sc = run.scenario;
+  for (size_t r = 0; r < run.num_rows(); ++r) {
+    std::printf("%s:\n", (sc.rows[r].label + sc.table.row_suffix).c_str());
+    for (size_t v = 0; v < sc.variants.size(); ++v) {
+      const FreqHistogram& hist = run.result(m, r, v, s).mean_freq_hist;
+      std::printf("  %-11s top2 %5.1f%% |", sc.variants[v].label.c_str(),
+                  100.0 * hist.TopShare(2));
+      for (size_t b = 0; b < hist.seconds.size(); ++b) {
+        std::printf(" %5.1f", 100.0 * hist.Share(b));
+      }
+      std::printf("\n");
+    }
+  }
+}
+
+// Figs. 2/3/8 layout: one block per row x variant x seed with the makespan,
+// cores used, sockets touched and frequency residency, plus the first 300 ms
+// of per-core activity when config.record_trace is set. When
+// config.record_underload_series is set, each row ends with the 4 ms
+// underload series of its variants side by side, one table per seed.
+void PrintTimelineTable(const ScenarioRun& run, size_t m, size_t s) {
+  const Scenario& sc = run.scenario;
+  const MachineSpec& spec = MachineByName(sc.machines[m]);
+  const Topology topo(spec.num_sockets, spec.physical_cores_per_socket, spec.threads_per_core);
+  constexpr SimDuration kWindow = 300 * kMillisecond;
+  for (size_t r = 0; r < run.num_rows(); ++r) {
+    std::printf("%s:\n", (sc.rows[r].label + sc.table.row_suffix).c_str());
+    for (size_t v = 0; v < sc.variants.size(); ++v) {
+      const RepeatedResult& rr = run.result(m, r, v, s);
+      for (size_t i = 0; i < rr.runs.size(); ++i) {
+        const ExperimentResult& er = rr.runs[i];
+        std::set<int> sockets;
+        for (const int cpu : er.cpus_used) {
+          sockets.insert(topo.SocketOf(cpu));
+        }
+        std::printf("\n(%s, seed %llu) makespan %.3fs, cores used %zu, sockets touched %zu\n",
+                    sc.variants[v].label.c_str(),
+                    static_cast<unsigned long long>(run.job(m, r, v, s).base_seed + i),
+                    er.seconds(), er.cpus_used.size(), sockets.size());
+        std::printf("frequency residency while executing tasks:\n%s",
+                    er.freq_hist.Format(spec).c_str());
+        if (!er.trace.empty()) {
+          std::printf("first 300 ms, per-core activity:\n%s",
+                      TraceRecorder::Summarize(er.trace, 0, kWindow).c_str());
+        }
+        if (!er.trace_file.empty()) {
+          std::printf("perfetto trace: %s\n", er.trace_file.c_str());
+        }
+      }
+    }
+    const size_t reps = run.result(m, r, 0, s).runs.size();
+    for (size_t i = 0; i < reps; ++i) {
+      std::vector<const std::vector<std::pair<double, double>>*> series;
+      size_t n = SIZE_MAX;
+      for (size_t v = 0; v < sc.variants.size(); ++v) {
+        series.push_back(&run.result(m, r, v, s).runs[i].underload_series);
+        n = std::min(n, series.back()->size());
+      }
+      if (n == 0) {
+        continue;
+      }
+      std::printf("\nunderload per 4 ms interval, first 300 ms (seed %llu):\n%10s",
+                  static_cast<unsigned long long>(run.job(m, r, 0, s).base_seed + i), "t (s)");
+      for (const ScenarioVariant& variant : sc.variants) {
+        std::printf(" %12s", variant.label.c_str());
+      }
+      std::printf("\n");
+      std::vector<double> totals(series.size(), 0.0);
+      for (size_t k = 0; k < n && (*series[0])[k].first <= ToSeconds(kWindow); ++k) {
+        std::printf("%10.3f", (*series[0])[k].first);
+        for (size_t v = 0; v < series.size(); ++v) {
+          std::printf(" %12.0f", (*series[v])[k].second);
+          totals[v] += (*series[v])[k].second;
+        }
+        std::printf("\n");
+      }
+      std::printf("total underload in window:");
+      for (size_t v = 0; v < series.size(); ++v) {
+        std::printf("%s %s %.0f", v == 0 ? "" : ",", sc.variants[v].label.c_str(), totals[v]);
+      }
+      std::printf("\n");
+    }
+  }
+}
+
+// §5.6 multi-app layout (family "multi"): for every row with two or more
+// members, one line per member with its solo makespan under each variant
+// (from the one-member row running the same workload, "-" when there is
+// none), its co-run makespan under each variant (the member's tag), and the
+// co-run speedup of each variant vs variant 0. Means across repetitions.
+void PrintCorunTable(const ScenarioRun& run, size_t m, size_t s) {
+  const Scenario& sc = run.scenario;
+  const size_t nv = sc.variants.size();
+  auto multi_of = [&](size_t r) {
+    return dynamic_cast<const MultiAppWorkload*>(run.job(m, r, 0, s).model.get());
+  };
+  std::map<std::string, size_t> solo_row;  // member workload name -> row
+  for (size_t r = 0; r < run.num_rows(); ++r) {
+    const MultiAppWorkload* multi = multi_of(r);
+    if (multi != nullptr && multi->size() == 1) {
+      solo_row.emplace(multi->member(0).name(), r);
+    }
+  }
+  for (size_t r = 0; r < run.num_rows(); ++r) {
+    const MultiAppWorkload* multi = multi_of(r);
+    if (multi == nullptr || multi->size() < 2) {
+      continue;
+    }
+    std::printf("\nco-run: %s\n  %-28s", (sc.rows[r].label + sc.table.row_suffix).c_str(),
+                "app");
+    for (const char* phase : {"solo-", "corun-"}) {
+      for (const ScenarioVariant& variant : sc.variants) {
+        std::printf(" %10s", (phase + variant.column).c_str());
+      }
+    }
+    for (size_t v = 1; v < nv; ++v) {
+      std::printf(" %20s",
+                  (sc.variants[v].column + "-vs-" + sc.variants[0].column + "(corun)").c_str());
+    }
+    std::printf("\n");
+    for (int i = 0; i < multi->size(); ++i) {
+      const Workload& member = multi->member(i);
+      std::printf("  %-28s", member.name().c_str());
+      const auto solo = solo_row.find(member.name());
+      for (size_t v = 0; v < nv; ++v) {
+        if (solo == solo_row.end()) {
+          std::printf(" %10s", "-");
+        } else {
+          std::printf(" %10.3f", run.result(m, solo->second, v, s).mean_seconds);
+        }
+      }
+      std::vector<double> corun(nv, 0.0);
+      for (size_t v = 0; v < nv; ++v) {
+        const RepeatedResult& rr = run.result(m, r, v, s);
+        for (const ExperimentResult& er : rr.runs) {
+          corun[v] += ToSeconds(er.tag_makespan.at(member.tag()));
+        }
+        corun[v] /= rr.runs.empty() ? 1.0 : static_cast<double>(rr.runs.size());
+        std::printf(" %10.3f", corun[v]);
+      }
+      for (size_t v = 1; v < nv; ++v) {
+        std::printf(" %20s", FormatSpeedup(SpeedupPercent(corun[0], corun[v])).c_str());
+      }
+      std::printf("\n");
+    }
+  }
+}
+
 }  // namespace
 
 void PrintScenarioHeader(const Scenario& scenario) {
@@ -402,6 +567,15 @@ void PrintScenarioTables(const ScenarioRun& run) {
         case TableSpec::Style::kWakeup:
           PrintWakeupTable(run, m, s);
           break;
+        case TableSpec::Style::kFreq:
+          PrintFreqTable(run, m, s);
+          break;
+        case TableSpec::Style::kTimeline:
+          PrintTimelineTable(run, m, s);
+          break;
+        case TableSpec::Style::kCorun:
+          PrintCorunTable(run, m, s);
+          break;
         case TableSpec::Style::kNone:
           break;
       }
@@ -426,35 +600,6 @@ std::string ResolveScenarioPath(const std::string& name) {
     }
   }
   return name;
-}
-
-int RunScenarioFileMain(const std::string& name, const ScenarioRunOptions& options) {
-  const std::string path = ResolveScenarioPath(name);
-  Scenario scenario;
-  ScenarioError err;
-  if (!LoadScenario(path, &scenario, &err)) {
-    std::fprintf(stderr, "%s\n", err.Join().c_str());
-    return 2;
-  }
-  ScenarioRun run;
-  if (!ExpandScenario(scenario, options, &run, &err)) {
-    std::fprintf(stderr, "%s\n", err.Join().c_str());
-    return 2;
-  }
-  PrintScenarioHeader(scenario);
-  ExecuteScenario(&run);
-  try {
-    PrintScenarioTables(run);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  for (const JobOutcome& outcome : run.outcomes) {
-    if (!outcome.ok()) {
-      return 1;
-    }
-  }
-  return 0;
 }
 
 }  // namespace nestsim

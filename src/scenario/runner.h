@@ -3,9 +3,8 @@
 //
 // Expansion order is machine → row → variant → sweep point (innermost), with
 // one workload model per (machine, row) shared across variants and sweep
-// points — exactly GridCampaign's order, so a sweepless scenario produces the
-// same job stream (and byte-identical tables and JSONL) as the hand-written
-// grid bench it replaces.
+// points, so tables print in nested-loop order and are byte-identical for any
+// worker count.
 
 #ifndef NESTSIM_SRC_SCENARIO_RUNNER_H_
 #define NESTSIM_SRC_SCENARIO_RUNNER_H_
@@ -83,25 +82,21 @@ bool ExpandScenario(const Scenario& scenario, const ScenarioRunOptions& options,
 void ExecuteScenario(ScenarioRun* run);
 
 // Prints the PrintHeader banner for the scenario's title/description (no-op
-// for untitled scenarios). Benches print this before running, so the runner
-// keeps that order.
+// for untitled scenarios). nestsim_run prints it before running the jobs.
 void PrintScenarioHeader(const Scenario& scenario);
 
 // Prints the per-machine tables in the style the scenario's TableSpec asks
-// for (Fig. 5/10/12 speedups, Fig. 4 underload, Table 4 bands). Sweeping
-// scenarios print one table block per sweep point.
+// for (Fig. 5/10/12 speedups, Fig. 4 underload, Table 4 bands, Fig. 6/11
+// frequency residency, Fig. 2/3/8 timelines, ...; docs/SCENARIOS.md lists
+// them all). Sweeping scenarios print one table block per sweep point.
 void PrintScenarioTables(const ScenarioRun& run);
 
-// Locates a scenario file for the thin bench wrappers: `name` as given, then
+// Locates a scenario (or model) file: `name` as given, then
 // $NESTSIM_SCENARIO_DIR/<name>, then scenarios/<name>, ../scenarios/<name>
 // and ../../scenarios/<name> relative to the working directory (the last for
 // tests running from build/tests). Returns `name` unchanged when nothing
 // exists (the open error then names the literal path).
 std::string ResolveScenarioPath(const std::string& name);
-
-// Load + expand + execute + print; the body of `nestsim_run <file>` and of
-// the scenario-backed bench binaries. Returns a process exit code.
-int RunScenarioFileMain(const std::string& name, const ScenarioRunOptions& options = {});
 
 }  // namespace nestsim
 

@@ -571,6 +571,20 @@ void ParseVariants(const JsonValue* v, const std::string& path, Scenario* out,
     variant.band_label = variant.label;
     reader.TakeString("column", &variant.column);
     reader.TakeString("band_label", &variant.band_label);
+    if (const JsonValue* config = reader.Take("config")) {
+      if (!config->is_object()) {
+        reader.AddError(std::string("\"config\" must be an object, got ") +
+                        JsonTypeName(config->type));
+      } else {
+        // Validated like the scenario-wide config: applied to a scratch copy.
+        ExperimentConfig scratch;
+        for (const auto& [key, value] : config->members) {
+          ApplyConfigOverride(&scratch, key, value, vpath + "/config", err);
+        }
+        variant.has_config = true;
+        variant.config = *config;
+      }
+    }
     reader.Finish();
     out->variants.push_back(std::move(variant));
   }
@@ -723,7 +737,8 @@ void ParseTable(const JsonValue* v, const std::string& path, Scenario* out, Scen
   SpecReader reader(*v, path + "/table", *err);
   std::string style;
   if (reader.TakeEnum("style", &style,
-                      {"none", "speedup", "underload", "bands", "latency", "energy", "wakeup"})) {
+                      {"none", "speedup", "underload", "bands", "latency", "energy", "wakeup",
+                       "freq", "timeline", "corun"})) {
     if (style == "none") {
       out->table.style = TableSpec::Style::kNone;
     } else if (style == "speedup") {
@@ -736,6 +751,12 @@ void ParseTable(const JsonValue* v, const std::string& path, Scenario* out, Scen
       out->table.style = TableSpec::Style::kEnergy;
     } else if (style == "wakeup") {
       out->table.style = TableSpec::Style::kWakeup;
+    } else if (style == "freq") {
+      out->table.style = TableSpec::Style::kFreq;
+    } else if (style == "timeline") {
+      out->table.style = TableSpec::Style::kTimeline;
+    } else if (style == "corun") {
+      out->table.style = TableSpec::Style::kCorun;
     } else {
       out->table.style = TableSpec::Style::kBands;
     }

@@ -73,13 +73,17 @@ class SpecReader {
 
 // A scheduler/governor column of the grid. `column` is the table header
 // (paper tables abbreviate, e.g. "Smove sch"), `band_label` the Table-4-style
-// summary label; both default to `label`.
+// summary label; both default to `label`. `config` holds config-override keys
+// for this variant only (the ablation variants' nest.* switches), applied
+// after the scenario-wide config and before any sweep point.
 struct ScenarioVariant {
   std::string label;
   std::string column;
   std::string band_label;
   SchedulerKind scheduler = SchedulerKind::kCfs;
   std::string governor = "schedutil";
+  bool has_config = false;
+  JsonValue config{};  // object of config-override keys
 };
 
 // One workload row: a preset name (no params) or a custom parameterisation.
@@ -106,6 +110,9 @@ struct TableSpec {
     kLatency,    // cluster serving layout: p50/p99/p99.9 request latency
     kEnergy,     // energy-budget layout: joules, seconds, EDP per variant
     kWakeup,     // wakeup-latency layout: p50/p99 per variant (record_latency)
+    kFreq,       // Fig. 6/11 layout: top-2 share + per-bucket frequency residency
+    kTimeline,   // Fig. 2/3/8 layout: per-seed cores/sockets/residency + traces
+    kCorun,      // §5.6 multi-app layout: per-member solo vs co-run makespans
   };
 
   Style style = Style::kSpeedup;
@@ -142,9 +149,9 @@ struct Scenario {
   TableSpec table;
 };
 
-// The "standard" comparison set of the paper's tables; include_smove adds the
-// Figure-5 Smove column. Mirrors bench_util's StandardVariants plus the
-// paper-table column headers.
+// The "standard" comparison set of the paper's tables (CFS/Nest under
+// schedutil/performance, with their paper-table column headers);
+// include_smove adds the Figure-5 Smove column.
 std::vector<ScenarioVariant> StandardScenarioVariants(bool include_smove);
 
 // Applies one dotted override key ("nest.r_max", "time_limit_s", ...) to the

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace nestsim {
@@ -214,6 +217,55 @@ TEST(HardwareE7Test, HighRequestReachesTurbo) {
   engine.RunUntil(300 * kMillisecond);
   EXPECT_NEAR(hw.FreqGhz(0), 3.0, 0.01);
 }
+
+// Table 3 against the live DVFS model: with the first n physical cores of
+// socket 0 busy and the hardware running free, after 200 ms no busy core
+// exceeds the ladder's cap for n active cores, and the hottest reaches it.
+// One case per machine preset and active-core count: 1-4, then every 4 up to
+// the socket's core count.
+using LadderCase = std::pair<std::string, int>;  // machine, active cores
+
+class TurboLadderTest : public ::testing::TestWithParam<LadderCase> {};
+
+TEST_P(TurboLadderTest, SettledFrequencyMatchesTheLadder) {
+  const auto& [machine, active] = GetParam();
+  const MachineSpec& spec = MachineByName(machine);
+  Engine engine;
+  HardwareModel hw(&engine, spec);
+  hw.Start();
+  const auto& firsts = hw.topology().FirstThreadsOnSocket(0);
+  for (int i = 0; i < active; ++i) {
+    hw.SetThreadBusy(firsts[i], true);
+  }
+  engine.RunUntil(200 * kMillisecond);
+  const double cap = spec.turbo.CapGhz(active);
+  double hottest = 0.0;
+  for (int i = 0; i < active; ++i) {
+    EXPECT_LE(hw.FreqGhz(firsts[i]), cap + 1e-9) << "core " << i;
+    hottest = std::max(hottest, hw.FreqGhz(firsts[i]));
+  }
+  EXPECT_NEAR(hottest, cap, 1e-9);
+}
+
+std::vector<LadderCase> LadderCases() {
+  std::vector<LadderCase> cases;
+  for (const std::string& machine : MachineNames()) {
+    const int cores = MachineByName(machine).physical_cores_per_socket;
+    for (int n = 1; n <= cores; n = n < 4 ? n + 1 : n + 4) {
+      cases.emplace_back(machine, n);
+    }
+  }
+  return cases;
+}
+
+std::string LadderCaseName(const ::testing::TestParamInfo<LadderCase>& info) {
+  std::string name = info.param.first + "_" + std::to_string(info.param.second);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table3, TurboLadderTest, ::testing::ValuesIn(LadderCases()),
+                         LadderCaseName);
 
 }  // namespace
 }  // namespace nestsim

@@ -1,16 +1,20 @@
 // The oracle warm-pool protocol (src/predict/oracle.h, docs/PREDICTION.md):
 // plan windowing, record → replay → re-replay bit-determinism, explicit-plan
-// reuse, and the nest_predict fallback guarantee (an empty model is
-// bit-identical to plain Nest; the committed model actually predicts).
+// reuse, the nest_predict fallback guarantee (an empty model is
+// bit-identical to plain Nest; the committed model actually predicts), and
+// the headroom ordering the predict_headroom golden pins.
 
 #include "src/predict/oracle.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "src/core/experiment.h"
+#include "src/obs/json_check.h"
 #include "src/obs/sched_counters.h"
 #include "src/scenario/predict_io.h"
 #include "src/workloads/micro.h"
@@ -158,6 +162,39 @@ TEST(PredictPolicyTest, CommittedModelTakesPredictedPlacements) {
   EXPECT_GT(Placements(first, PlacementPath::kNestPredicted), 0u);
   // And the biased search is just as deterministic as everything else.
   ExpectBitIdentical(first, RunExperiment(config, workload));
+}
+
+// The committed headroom golden pins the paper-shaped ordering of tail
+// wakeup latency: nest_oracle p99 <= nest p99 <= cfs p99, each averaged over
+// the golden's repetitions.
+TEST(PredictHeadroomGoldenTest, OracleBeatsNestBeatsCfsAtP99) {
+  std::ifstream in(NESTSIM_REPO_DIR "/baselines/predict_headroom.jsonl");
+  ASSERT_TRUE(in.good());
+  std::map<std::string, double> p99;
+  std::string line;
+  while (std::getline(in, line)) {
+    JsonValue record;
+    std::string error;
+    ASSERT_TRUE(JsonParse(line, &record, &error)) << error;
+    const JsonValue* variant = record.Find("variant");
+    const JsonValue* runs = record.Find("runs");
+    if (variant == nullptr || runs == nullptr) {
+      continue;  // the header line
+    }
+    ASSERT_FALSE(runs->items.empty());
+    double sum = 0.0;
+    for (const JsonValue& run : runs->items) {
+      const JsonValue* v = run.Find("wakeup_p99_us");
+      ASSERT_NE(v, nullptr) << line;
+      sum += v->number;
+    }
+    p99[variant->string] = sum / static_cast<double>(runs->items.size());
+  }
+  ASSERT_EQ(p99.count("NestOracle sched"), 1u);
+  ASSERT_EQ(p99.count("Nest sched"), 1u);
+  ASSERT_EQ(p99.count("CFS sched"), 1u);
+  EXPECT_LE(p99["NestOracle sched"], p99["Nest sched"]);
+  EXPECT_LE(p99["Nest sched"], p99["CFS sched"]);
 }
 
 }  // namespace

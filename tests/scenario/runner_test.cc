@@ -1,6 +1,8 @@
-// Expansion and execution invariants of the scenario runner: grid order
-// mirrors GridCampaign, sweep points cross-product with stable labels, and
-// pooled execution is deterministic (outcomes independent of worker count).
+// Expansion and execution invariants of the scenario runner: grid order is
+// machine → row → variant, sweep points cross-product with stable labels,
+// variant config lands on its own variant, pooled execution is deterministic
+// (outcomes independent of worker count), and the figure table styles print
+// their blocks.
 
 #include "src/scenario/runner.h"
 
@@ -13,8 +15,18 @@
 namespace nestsim {
 namespace {
 
+Scenario MustParse(const std::string& json) {
+  JsonValue root;
+  std::string json_error;
+  EXPECT_TRUE(JsonParse(json, &root, &json_error)) << json_error;
+  Scenario scenario;
+  ScenarioError err;
+  EXPECT_TRUE(ParseScenario(root, "runner_test", &scenario, &err)) << err.Join();
+  return scenario;
+}
+
 Scenario SmokeScenario() {
-  const char* json = R"({
+  return MustParse(R"({
     "name": "runner_test",
     "machines": ["intel-5218-2s", "amd-4650g-1s"],
     "variants": [
@@ -27,14 +39,7 @@ Scenario SmokeScenario() {
     ]},
     "repetitions": 1,
     "base_seed": 3
-  })";
-  JsonValue root;
-  std::string json_error;
-  EXPECT_TRUE(JsonParse(json, &root, &json_error)) << json_error;
-  Scenario scenario;
-  ScenarioError err;
-  EXPECT_TRUE(ParseScenario(root, "runner_test", &scenario, &err)) << err.Join();
-  return scenario;
+  })");
 }
 
 ScenarioRunOptions QuietOptions(int jobs = 1) {
@@ -153,6 +158,115 @@ TEST(ScenarioRunnerTest, SweepCrossProductAndLabels) {
   EXPECT_EQ(run.job(0, 0, 0, 2).config.nest.r_max, 3);
   EXPECT_FALSE(run.job(0, 0, 0, 2).config.nest.enable_spin);
   EXPECT_TRUE(run.job(0, 0, 0, 3).config.nest.enable_spin);
+}
+
+TEST(ScenarioRunnerTest, VariantConfigAppliesToItsVariantAfterTheScenarioConfig) {
+  const Scenario scenario = MustParse(R"({
+    "name": "variant_config",
+    "machines": ["amd-4650g-1s"],
+    "variants": [
+      {"label": "default", "scheduler": "nest", "governor": "schedutil"},
+      {"label": "wide", "scheduler": "nest", "governor": "schedutil",
+       "config": {"nest.r_max": 7, "nest.enable_spin": false}}
+    ],
+    "workload": {"family": "configure", "presets": ["gcc"]},
+    "config": {"nest.r_max": 3},
+    "sweep": {"nest.s_max_ticks": [1, 4]}
+  })");
+  ScenarioRun run;
+  ScenarioError err;
+  ASSERT_TRUE(ExpandScenario(scenario, QuietOptions(), &run, &err)) << err.Join();
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(run.job(0, 0, 0, s).config.nest.r_max, 3);
+    EXPECT_TRUE(run.job(0, 0, 0, s).config.nest.enable_spin);
+    EXPECT_EQ(run.job(0, 0, 1, s).config.nest.r_max, 7);
+    EXPECT_FALSE(run.job(0, 0, 1, s).config.nest.enable_spin);
+  }
+  // Sweep points still apply on top of the variant config.
+  EXPECT_EQ(run.job(0, 0, 1, 0).config.nest.s_max_ticks, 1);
+  EXPECT_EQ(run.job(0, 0, 1, 1).config.nest.s_max_ticks, 4);
+}
+
+// Executes `json` on one worker and returns what PrintScenarioTables prints.
+std::string Tables(const std::string& json) {
+  const Scenario scenario = MustParse(json);
+  ScenarioRun run;
+  ScenarioError err;
+  EXPECT_TRUE(ExpandScenario(scenario, QuietOptions(), &run, &err)) << err.Join();
+  ExecuteScenario(&run);
+  ::testing::internal::CaptureStdout();
+  PrintScenarioTables(run);
+  return ::testing::internal::GetCapturedStdout();
+}
+
+size_t Count(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t at = text.find(needle); at != std::string::npos; at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ScenarioTableStyleTest, FreqPrintsOneResidencyLinePerVariant) {
+  const std::string out = Tables(R"({
+    "name": "freq", "machines": ["amd-4650g-1s"],
+    "workload": {"family": "configure", "rows": [
+      {"label": "tiny-gcc", "params": {"preset": "gcc", "num_tests": 8}}]},
+    "repetitions": 1, "table": {"style": "freq"}
+  })");
+  EXPECT_EQ(Count(out, "tiny-gcc:\n"), 1u) << out;
+  EXPECT_EQ(Count(out, " top2 "), 4u) << out;  // the four standard variants
+  EXPECT_NE(out.find("  Nest perf   top2 "), std::string::npos) << out;
+}
+
+TEST(ScenarioTableStyleTest, TimelinePrintsEverySeedTraceAndUnderloadSeries) {
+  const std::string out = Tables(R"({
+    "name": "timeline", "machines": ["amd-4650g-1s"],
+    "variants": [
+      {"label": "CFS sched", "scheduler": "cfs", "governor": "schedutil"},
+      {"label": "Nest sched", "scheduler": "nest", "governor": "schedutil"}],
+    "workload": {"family": "configure", "rows": [
+      {"label": "tiny-gcc", "params": {"preset": "gcc", "num_tests": 8}}]},
+    "repetitions": 2, "base_seed": 3,
+    "config": {"record_trace": true, "record_underload_series": true},
+    "table": {"style": "timeline"}
+  })");
+  for (const char* needle : {"(CFS sched, seed 3) makespan", "(CFS sched, seed 4) makespan",
+                             "(Nest sched, seed 3) makespan", "(Nest sched, seed 4) makespan",
+                             "underload per 4 ms interval, first 300 ms (seed 3):",
+                             "underload per 4 ms interval, first 300 ms (seed 4):",
+                             "total underload in window: CFS sched "}) {
+    EXPECT_NE(out.find(needle), std::string::npos) << needle << "\n" << out;
+  }
+  EXPECT_EQ(Count(out, "first 300 ms, per-core activity:"), 4u) << out;
+  EXPECT_EQ(Count(out, "frequency residency while executing tasks:"), 4u) << out;
+}
+
+TEST(ScenarioTableStyleTest, CorunPrintsSoloAndCorunMakespansPerMember) {
+  const std::string out = Tables(R"({
+    "name": "corun", "machines": ["amd-4650g-1s"],
+    "variants": [
+      {"label": "CFS sched", "scheduler": "cfs", "governor": "schedutil", "column": "CFS"},
+      {"label": "Nest sched", "scheduler": "nest", "governor": "schedutil", "column": "Nest"}],
+    "workload": {"family": "multi", "rows": [
+      {"label": "gcc", "params": {"members": [{"family": "configure", "preset": "gcc"}]}},
+      {"label": "gcc+hb", "params": {"members": [
+        {"family": "configure", "preset": "gcc"},
+        {"family": "hackbench", "params": {"groups": 2, "fan": 2, "loops": 10}}]}}]},
+    "repetitions": 1, "table": {"style": "corun"}
+  })");
+  EXPECT_EQ(Count(out, "co-run: "), 1u) << out;  // solo rows print no block of their own
+  EXPECT_NE(out.find("co-run: gcc+hb"), std::string::npos) << out;
+  EXPECT_NE(out.find("solo-CFS  solo-Nest  corun-CFS corun-Nest   Nest-vs-CFS(corun)"),
+            std::string::npos)
+      << out;
+  // gcc has a solo row, hackbench does not.
+  const size_t gcc = out.find("  configure-gcc ");
+  const size_t hb = out.find("  hackbench");
+  ASSERT_NE(gcc, std::string::npos) << out;
+  ASSERT_NE(hb, std::string::npos) << out;
+  EXPECT_EQ(out.substr(gcc, out.find('\n', gcc) - gcc).find(" - "), std::string::npos) << out;
+  EXPECT_NE(out.substr(hb, out.find('\n', hb) - hb).find(" - "), std::string::npos) << out;
 }
 
 TEST(ScenarioRunnerTest, ExecutionIsDeterministicAcrossWorkerCounts) {

@@ -172,6 +172,38 @@ TEST(ScenarioParseTest, MultiFamilyRequiresMembers) {
       "cannot nest another \"multi\""));
 }
 
+TEST(ScenarioParseTest, MultiAcceptsOneMemberAsASoloRow) {
+  const Scenario s = MustParse(R"({"name":"t","workload":{"family":"multi","params":{
+    "members":[{"family":"configure","preset":"gcc"}]}}})");
+  ASSERT_EQ(s.rows.size(), 1u);
+  EXPECT_TRUE(Mentions(
+      MustFail(R"({"name":"t","workload":{"family":"multi","params":{"members":[]}}})"),
+      "non-empty array"));
+}
+
+TEST(ScenarioParseTest, VariantConfigIsValidatedLikeTheScenarioConfig) {
+  const Scenario ok = MustParse(R"({"name":"t","workload":{"family":"nas"},"variants":[
+    {"label":"a","scheduler":"nest","governor":"schedutil"},
+    {"label":"b","scheduler":"nest","governor":"schedutil",
+     "config":{"nest.enable_spin":false}}]})");
+  EXPECT_FALSE(ok.variants[0].has_config);
+  ASSERT_TRUE(ok.variants[1].has_config);
+  EXPECT_EQ(ok.variants[1].config.members.size(), 1u);
+
+  const ScenarioError bad_key = MustFail(R"({"name":"t","workload":{"family":"nas"},"variants":[
+    {"label":"a","scheduler":"nest","governor":"schedutil","config":{"nest.r_maxx":3}}]})");
+  EXPECT_TRUE(Mentions(bad_key, "/variants[0]/config")) << bad_key.Join();
+  EXPECT_TRUE(Mentions(bad_key, "unknown config key \"nest.r_maxx\"")) << bad_key.Join();
+
+  const ScenarioError bad_value = MustFail(R"({"name":"t","workload":{"family":"nas"},"variants":[
+    {"label":"a","scheduler":"nest","governor":"schedutil","config":{"nest.r_max":-1}}]})");
+  EXPECT_TRUE(Mentions(bad_value, "\"nest.r_max\" expects")) << bad_value.Join();
+
+  const ScenarioError not_object = MustFail(R"({"name":"t","workload":{"family":"nas"},
+    "variants":[{"label":"a","scheduler":"nest","governor":"schedutil","config":[1]}]})");
+  EXPECT_TRUE(Mentions(not_object, "\"config\" must be an object")) << not_object.Join();
+}
+
 TEST(ScenarioParseTest, MultiCompositionParses) {
   const Scenario s = MustParse(R"({
     "name":"t",

@@ -2,9 +2,11 @@
 // committed scenario golden replayed under the windowed PDES executor at
 // 1/2/4/8 workers must produce bit-identical results to the serial
 // reference loop, and randomized parallel.* knob draws (sync algorithm,
-// lookahead caps) must never be observable either. This is the in-process
-// half of the acceptance bar; CI additionally gates `nestsim_run
-// --check-baseline --parallel 4` against the committed golden files.
+// lookahead caps) must never be observable either. The golden gate
+// (golden.<stem> in ctest) pins the serial results to the committed goldens;
+// this suite runs under TSan too, so it also watches the executor's
+// cross-domain paths for races. The paper-figure scenarios stay off the list:
+// they are too slow under TSan.
 
 #include <gtest/gtest.h>
 
@@ -74,10 +76,23 @@ Scenario LoadCommitted(const std::string& stem) {
   return scenario;
 }
 
-// Every scenario with a committed golden under baselines/.
+// Every non-paper scenario with a committed golden, plus the fuzz corpus.
 const char* kGoldenScenarios[] = {
-    "smoke",          "cache_ablation",     "cluster_smoke", "cluster_util_sweep",
-    "energy_cap",     "fault_blast_radius", "pdes_scaling",
+    "smoke",
+    "cache_ablation",
+    "cluster_smoke",
+    "cluster_util_sweep",
+    "energy_cap",
+    "fault_blast_radius",
+    "pdes_scaling",
+    "predict_headroom",
+    "corpus/fuzz-1",
+    "corpus/fuzz-2",
+    "corpus/fuzz-2-min",
+    "corpus/fuzz-3",
+    "corpus/fuzz-4",
+    "corpus/fuzz-5",
+    "corpus/fuzz-fault-min",
 };
 
 TEST(PdesDifferentialTest, CommittedGoldensAreByteIdenticalAtEveryWorkerCount) {

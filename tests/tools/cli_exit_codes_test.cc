@@ -89,6 +89,40 @@ TEST(NestsimRunCliTest, RepsRejectsZero) {
   ExpectRejected(kRun + " --reps 0 smoke.json", "--reps", "0");
 }
 
+// --base-seed must parse as a whole unsigned integer: a bare strtoull would
+// run "1x" as seed 1, "abc" as seed 0 and wrap "-5" to 2^64-5.
+TEST(NestsimRunCliTest, BaseSeedRejectsJunk) {
+  for (const char* bad : {"1x", "abc", "-5"}) {
+    ExpectRejected(kRun + " --base-seed " + bad + " smoke.json", "--base-seed", bad);
+  }
+}
+
+TEST(NestsimRunCliTest, BaseSeedAcceptsAnUnsignedInteger) {
+  const CliResult result = RunCommand(kRun + " --print-jobs --base-seed 18446744073709551615 " +
+                                      "smoke.json");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("base seed 18446744073709551615"), std::string::npos)
+      << result.output;
+}
+
+TEST(NestsimRunCliTest, ParallelRejectsJunkAndOutOfRange) {
+  for (const char* bad : {"abc", "4x", "-1", "65"}) {
+    ExpectRejected(kRun + " --parallel " + bad + " smoke.json", "--parallel", bad);
+  }
+}
+
+TEST(NestsimFuzzCliTest, BaseSeedRejectsJunk) {
+  for (const char* bad : {"1x", "abc", "-5"}) {
+    ExpectRejected(kFuzz + " --runs 1 --base-seed " + bad, "--base-seed", bad);
+  }
+}
+
+TEST(NestsimExportCliTest, BaseSeedRejectsJunk) {
+  for (const char* bad : {"1x", "abc", "-5"}) {
+    ExpectRejected(kExport + " --base-seed " + bad + " smoke.json", "--base-seed", bad);
+  }
+}
+
 TEST(NestsimFuzzCliTest, JobsRejectsNonNumeric) {
   ExpectRejected(kFuzz + " --jobs abc", "--jobs", "abc");
 }
@@ -161,6 +195,17 @@ TEST(NestsimRunCliTest, ListNamesClusterRouters) {
   EXPECT_NE(result.output.find("cluster routers:"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("round-robin"), std::string::npos) << result.output;
   EXPECT_NE(result.output.find("cluster.machines"), std::string::npos) << result.output;
+}
+
+TEST(NestsimRunCliTest, ListPrintsTables2And3) {
+  const CliResult result = RunCommand(kRun + " --list");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  for (const char* needle : {"power management", "Intel Xeon E7-8870 v4", "4x20x2=160",
+                             "Enhanced Intel SpeedStep",
+                             "ladder: 1:3.0 2:3.0 3:2.8 4:2.7 8:2.6 12:2.6 16:2.6 20:2.6",
+                             "ladder: 1:4.2 2:4.2 3:4.1 4:4.0\n"}) {
+    EXPECT_NE(result.output.find(needle), std::string::npos) << needle << "\n" << result.output;
+  }
 }
 
 TEST(NestsimRunCliTest, InvalidClusterKeyNamesTheJsonPath) {

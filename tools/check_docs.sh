@@ -45,7 +45,7 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # 1. Environment variables.
-for var in $(grep -rhoE 'getenv\("NESTSIM_[A-Z_]+"\)' src bench examples tools \
+for var in $(grep -rhoE 'getenv\("NESTSIM_[A-Z_]+"\)' src examples tools \
                | sed 's/getenv("//; s/")//' | sort -u); do
   if ! grep -q "$var" README.md; then
     echo "FAIL: $var is read by the code but not documented in README.md"

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 namespace nestsim {
@@ -31,6 +32,22 @@ inline bool ParseCliInt(const char* text, long min_value, long max_value, long* 
     return false;
   }
   *out = value;
+  return true;
+}
+
+// Whole-string base-10 unsigned 64-bit integer. Rejects empty strings, signs
+// (strtoull would wrap "-5" to 2^64-5), trailing junk, and overflow.
+inline bool ParseCliU64(const char* text, uint64_t* out) {
+  if (text == nullptr || *text < '0' || *text > '9') {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0') {
+    return false;
+  }
+  *out = static_cast<uint64_t>(value);
   return true;
 }
 

@@ -118,8 +118,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--base-seed") {
+      const char* v = value("--base-seed");
+      if (!ParseCliU64(v, &options.base_seed)) {
+        std::fprintf(stderr, "--base-seed needs an unsigned integer, got '%s'\n", v);
+        return 2;
+      }
       options.has_base_seed = true;
-      options.base_seed = std::strtoull(value("--base-seed"), nullptr, 10);
     } else if (arg == "--parallel") {
       const char* v = value("--parallel");
       long n = 0;

@@ -96,10 +96,11 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--base-seed") {
       const char* v = next();
-      if (v == nullptr) {
+      if (v == nullptr || !ParseCliU64(v, &base_seed)) {
+        std::fprintf(stderr, "nestsim_fuzz: --base-seed needs an unsigned integer, got '%s'\n",
+                     v == nullptr ? "" : v);
         return Usage(argv[0]);
       }
-      base_seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--shrink") {
       shrink = true;
     } else if (arg == "--repro-dir") {

@@ -36,8 +36,8 @@ int Usage(const char* argv0) {
       "usage: %s [options] <scenario.json>...\n"
       "\n"
       "options:\n"
-      "  --list               print machines, policies, governors, workload\n"
-      "                       families and config-override keys, then exit\n"
+      "  --list               print machines (Tables 2/3), policies, governors,\n"
+      "                       workload families and config-override keys, then exit\n"
       "  --print-jobs         expand the grid and list jobs without running\n"
       "  --no-table           skip the paper-style table (JSONL/baseline only)\n"
       "  --reps N             repetitions per cell (beats NESTSIM_REPS)\n"
@@ -54,13 +54,44 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-void PrintList() {
-  std::printf("machines:\n");
-  for (const std::string& name : MachineNames()) {
-    const MachineSpec& spec = MachineByName(name);
-    std::printf("  %-16s %s, %dx%dx%d\n", name.c_str(), spec.cpu_model.c_str(), spec.num_sockets,
-                spec.physical_cores_per_socket, spec.threads_per_core);
+const char* PowerManagementName(PowerManagement pm) {
+  switch (pm) {
+    case PowerManagement::kSpeedShift:
+      return "Intel Speed Shift";
+    case PowerManagement::kSpeedStep:
+      return "Enhanced Intel SpeedStep";
+    case PowerManagement::kTurboCore:
+      return "AMD Turbo Core";
   }
+  return "unknown";
+}
+
+// The machines block is the paper's Table 2 (hardware characteristics) with
+// each machine's Table 3 turbo ladder: the frequency cap by number of active
+// physical cores on a socket, at 1-4 and then every 4 cores.
+void PrintMachines() {
+  std::printf("machines (Table 2; ladder = Table 3 turbo cap in GHz by active cores/socket):\n");
+  std::printf("  %-18s %-26s %-13s %10s %7s %7s %9s  %s\n", "name", "CPU", "uarch", "#cores",
+              "min", "max", "max turbo", "power management");
+  for (const std::string& name : MachineNames()) {
+    const MachineSpec& m = MachineByName(name);
+    char cores[32];
+    std::snprintf(cores, sizeof(cores), "%dx%dx%d=%d", m.num_sockets,
+                  m.physical_cores_per_socket, m.threads_per_core,
+                  m.num_sockets * m.physical_cores_per_socket * m.threads_per_core);
+    std::printf("  %-18s %-26s %-13s %10s %4.1fGHz %4.1fGHz %6.1fGHz  %s\n", name.c_str(),
+                m.cpu_model.c_str(), m.microarch.c_str(), cores, m.min_freq_ghz,
+                m.nominal_freq_ghz, m.turbo.MaxTurboGhz(), PowerManagementName(m.power_management));
+    std::printf("    ladder:");
+    for (int c = 1; c <= m.physical_cores_per_socket; c = c < 4 ? c + 1 : c + 4) {
+      std::printf(" %d:%.1f", c, m.turbo.CapGhz(c));
+    }
+    std::printf("\n");
+  }
+}
+
+void PrintList() {
+  PrintMachines();
   std::printf("schedulers: %s\n", JoinNames(SchedulerKindKeys()).c_str());
   std::printf("governors: %s\n", JoinNames(GovernorNames()).c_str());
   std::printf("workload families:\n");
@@ -147,13 +178,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--base-seed") {
+      const char* v = value("--base-seed");
+      if (!ParseCliU64(v, &options.base_seed)) {
+        std::fprintf(stderr, "--base-seed needs an unsigned integer, got '%s'\n", v);
+        return 2;
+      }
       options.has_base_seed = true;
-      options.base_seed = std::strtoull(value("--base-seed"), nullptr, 10);
     } else if (arg == "--parallel") {
       const char* v = value("--parallel");
-      char* end = nullptr;
-      const long n = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || n < 0 || n > 64) {
+      long n = 0;
+      if (!ParseCliInt(v, 0, 64, &n)) {
         std::fprintf(stderr, "--parallel needs an integer in [0, 64], got '%s'\n", v);
         return 2;
       }
