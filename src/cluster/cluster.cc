@@ -1,6 +1,7 @@
 #include "src/cluster/cluster.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -127,18 +128,17 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     machines.push_back(&model.machine(m));
   }
 
-  // Same stream the single-machine Setup path uses: one Fork() off the seed.
+  // Same traffic the single-machine Setup path streams: one Fork() off the
+  // seed, drawn part by part as the arrivals fire.
   Rng rng(config.seed);
-  Rng wl_rng = rng.Fork();
-  const RequestPlan plan = requests->BuildPlan(wl_rng);
+  RequestStream stream(requests->spec(), rng.Fork());
   // Each part is injected as `replicas` copies (1 unless configured); the
   // first `quorum` copies to exit win and the rest are reaped fleet-wide.
   const int replicas = std::max(1, config.fault.replicas);
   const int quorum = std::min(std::max(1, config.fault.quorum), replicas);
-  progress.resize(plan.parts.size() * static_cast<size_t>(replicas));
 
-  // The fault plan is drawn after the traffic plan from a forked generator —
-  // second fork off the seed, exactly like the single-machine path — so
+  // The fault plan is drawn from a forked generator — the second fork off
+  // the seed, exactly like the single-machine path — so
   // enabling faults perturbs no workload draw. Each machine replays its own
   // slice; whole-machine crashes are handled here (kill every live task, mark
   // the machine dead for the router) because only the runner sees the fleet.
@@ -186,11 +186,6 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   std::vector<CopyRef> copy_refs;
   std::vector<int> part_exits;
   std::vector<SimTime> part_quorum_exit;
-  if (replicas > 1) {
-    copy_refs.resize(progress.size());
-    part_exits.assign(plan.parts.size(), 0);
-    part_quorum_exit.assign(plan.parts.size(), -1);
-  }
   // The reap is a cross-domain event (losing copies live on other machines),
   // so it rides the coordinator. Scheduling it from inside a domain's exit
   // event is a zero-lookahead feedback edge — which is why replicas > 1
@@ -222,53 +217,72 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     }
   }
 
-  // One coordinator event per part, scheduled in plan (arrival) order — the
-  // same insertion order Kernel::ScheduleInjection would produce, so a
-  // 1-machine passthrough cluster replays the exact single-machine event
-  // sequence. The router runs inside the arrival event so load-aware
-  // policies see live state — every domain clock is committed to the arrival
-  // instant before it fires; the traffic itself was drawn above and cannot
-  // be perturbed. Dead machines are failed over to the next alive one in
-  // index order; a copy with no alive machine at all is dropped (and its
-  // request fails).
-  int64_t pending = static_cast<int64_t>(plan.parts.size());
+  // Arrivals ride the coordinator, one part at a time: each arrival event
+  // routes its part, draws the next one and schedules it. Every part takes
+  // the one coordinator rank reserved here, so the parts fire exactly where
+  // pushing the whole trace here, in order, would put them — and a 1-machine
+  // passthrough cluster replays the single-machine event sequence. The
+  // router runs inside the arrival event so load-aware policies see live
+  // state — every domain clock is committed to the arrival instant before
+  // it fires; the traffic comes from its own generator and cannot be
+  // perturbed. Dead machines are failed over to the next alive one in index
+  // order; a copy with no alive machine at all is dropped (and its request
+  // fails). Per part, only its (arrival, request) key is kept, for the
+  // serving metrics.
+  struct PartKey {
+    SimTime arrival;
+    uint64_t request;
+  };
+  std::vector<PartKey> keys;
+  RequestPart next;
+  bool stream_open = stream.Next(&next);
+  const uint64_t rank = group.coordinator().ReserveRank();
   std::vector<uint64_t> routed(static_cast<size_t>(n), 0);
   const int tag = requests->tag();
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    const RequestPart& part = plan.parts[i];
-    group.ScheduleCoordinator(part.arrival, [&model, &plan, &routed, &trackers, &router, &pending,
-                                             &alive, &progress, &copy_refs, tag, i, replicas, n] {
-      --pending;
-      const RequestPart& p = plan.parts[i];
-      for (int r = 0; r < replicas; ++r) {
-        const size_t copy = i * static_cast<size_t>(replicas) + static_cast<size_t>(r);
-        int m = router->Route(model.kernels(), model.hardware());
+  std::function<void()> arrive = [&] {
+    const size_t i = keys.size();
+    keys.push_back({next.arrival, next.request});
+    progress.resize(progress.size() + static_cast<size_t>(replicas));
+    if (replicas > 1) {
+      copy_refs.resize(progress.size());
+      part_exits.push_back(0);
+      part_quorum_exit.push_back(-1);
+    }
+    for (int r = 0; r < replicas; ++r) {
+      const size_t copy = i * static_cast<size_t>(replicas) + static_cast<size_t>(r);
+      int m = router->Route(model.kernels(), model.hardware());
+      if (!alive[static_cast<size_t>(m)]) {
+        const int first = m;
+        do {
+          m = m + 1 < n ? m + 1 : 0;
+        } while (!alive[static_cast<size_t>(m)] && m != first);
         if (!alive[static_cast<size_t>(m)]) {
-          const int first = m;
-          do {
-            m = m + 1 < n ? m + 1 : 0;
-          } while (!alive[static_cast<size_t>(m)] && m != first);
-          if (!alive[static_cast<size_t>(m)]) {
-            progress[copy].dropped = true;
-            continue;
-          }
-        }
-        ++routed[static_cast<size_t>(m)];
-        std::string name = p.name;
-        if (r > 0) {
-          name += ".r" + std::to_string(r);
-        }
-        Task* task = model.machine(m).kernel.InjectTask(p.program, std::move(name), tag);
-        trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
-        if (replicas > 1) {
-          copy_refs[copy] = CopyRef{&model.machine(m).kernel, task};
+          progress[copy].dropped = true;
+          continue;
         }
       }
-    });
+      ++routed[static_cast<size_t>(m)];
+      std::string name = next.name;
+      if (r > 0) {
+        name += ".r" + std::to_string(r);
+      }
+      Task* task = model.machine(m).kernel.InjectTask(next.program, std::move(name), tag);
+      trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
+      if (replicas > 1) {
+        copy_refs[copy] = CopyRef{&model.machine(m).kernel, task};
+      }
+    }
+    stream_open = stream.Next(&next);
+    if (stream_open) {
+      group.coordinator().ScheduleAtRank(next.arrival, rank, [&arrive] { arrive(); });
+    }
+  };
+  if (stream_open) {
+    group.coordinator().ScheduleAtRank(next.arrival, rank, [&arrive] { arrive(); });
   }
 
   auto fleet_live = [&] {
-    return pending > 0 || std::any_of(machines.begin(), machines.end(),
+    return stream_open || std::any_of(machines.begin(), machines.end(),
                                       [](const MachineRun* m) { return m->live(); });
   };
   // Replication's quorum reaps are same-instant cross-domain feedback (zero
@@ -276,11 +290,20 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   ExperimentResult result =
       RunMachines(group, machines, config, fleet_live, /*lockstep=*/replicas > 1);
 
+  // A time limit may stop the run with parts still to arrive; they are drawn
+  // only to count the offered load. Their requests never complete: a request
+  // cut between its parts (which share one arrival instant) has its arrived
+  // parts still running, since the run stops right after the event at or
+  // past the limit.
+  while (stream_open) {
+    stream_open = stream.Next(&next);
+  }
+
   // ---- Serving metrics. ----
   ClusterStats& stats = result.cluster;
   stats.num_machines = n;
   stats.router = router->name();
-  stats.requests_offered = plan.requests;
+  stats.requests_offered = stream.requests();
 
   // A request completes when every part (parent + fan-out subs) exited — with
   // replicas, when every part reached its quorum. Parts are plan-ordered
@@ -291,13 +314,13 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   std::vector<double> queue_ms;
   std::vector<double> service_ms;
   size_t i = 0;
-  while (i < plan.parts.size()) {
-    const uint64_t req = plan.parts[i].request;
-    const SimTime arrival = plan.parts[i].arrival;
+  while (i < keys.size()) {
+    const uint64_t req = keys[i].request;
+    const SimTime arrival = keys[i].arrival;
     bool complete = true;
     bool fault_touched = false;
     SimTime req_last_exit = 0;
-    while (i < plan.parts.size() && plan.parts[i].request == req) {
+    while (i < keys.size() && keys[i].request == req) {
       SimTime part_exit = -1;
       for (int r = 0; r < replicas; ++r) {
         const PartProgress& p = progress[i * static_cast<size_t>(replicas) + static_cast<size_t>(r)];

@@ -1,7 +1,7 @@
 // Pluggable request routers (load balancers) for the cluster serving layer.
 //
 // A router picks the machine for each arriving request part. It is consulted
-// at arrival time — not when the traffic plan is drawn — so load-aware
+// at arrival time — not when the traffic is drawn — so load-aware
 // policies see live simulation state. Routers must be deterministic functions
 // of that state: given the same arrival sequence and machine states they make
 // the same choices, which keeps cluster runs bit-reproducible.

@@ -1,12 +1,11 @@
 // Deterministic fault injection and resilience accounting.
 //
-// A FaultPlan is pre-drawn from the scenario seed — like the request plan of
-// the open-loop workloads — so enabling faults cannot perturb any workload
-// draw: the plan's generator is forked from the run Rng *after* workload
-// setup, and a disabled spec draws nothing at all. The FaultInjector replays
-// one machine's slice of the plan against a live kernel via
-// Kernel::OfflineCpu/OnlineCpu; machine-level crash events are delegated to
-// the cluster runner (src/cluster/), which owns router failover.
+// A FaultPlan is pre-drawn from the scenario seed, so enabling faults cannot
+// perturb any workload draw: the plan's generator is forked from the run
+// Rng *after* workload setup, and a disabled spec draws nothing at all. The
+// FaultInjector replays one machine's slice of the plan against a live
+// kernel via Kernel::OfflineCpu/OnlineCpu; machine-level crash events are
+// delegated to the cluster runner (src/cluster/), which owns router failover.
 //
 // Semantics and the metric glossary live in docs/FAULTS.md.
 

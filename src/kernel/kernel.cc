@@ -154,6 +154,24 @@ void Kernel::ScheduleInjection(SimTime when, ProgramPtr program, std::string nam
   });
 }
 
+void Kernel::StreamInjections(InjectionSource next, int tag) {
+  injection_streams_.push_back(std::make_unique<InjectionStream>(
+      InjectionStream{std::move(next), {}, engine_->ReserveRank(), tag}));
+  ScheduleStreamed(injection_streams_.back().get());
+}
+
+void Kernel::ScheduleStreamed(InjectionStream* stream) {
+  if (!stream->next(&stream->pending)) {
+    return;  // exhausted: the source no longer counts as pending
+  }
+  ++pending_injections_;
+  engine_->ScheduleAtRank(stream->pending.when, stream->rank, [this, stream] {
+    --pending_injections_;
+    InjectTask(std::move(stream->pending.program), std::move(stream->pending.name), stream->tag);
+    ScheduleStreamed(stream);
+  });
+}
+
 void Kernel::ForkChild(Task& parent, ProgramPtr program) {
   Task* child = NewTask(program, parent.name + "+" + std::to_string(next_tid_), parent.tag, &parent);
   // A forked task starts its placement history at the parent's core.

@@ -14,6 +14,7 @@
 #define NESTSIM_SRC_KERNEL_KERNEL_H_
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -100,7 +101,25 @@ class Kernel {
   // if the machine is momentarily empty (open-loop traffic).
   void ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag);
 
-  // Injections scheduled via ScheduleInjection that have not yet fired.
+  // One ScheduleInjection call's arguments, as a value.
+  struct Injection {
+    SimTime when = 0;
+    ProgramPtr program;
+    std::string name;
+  };
+  // Fills the next injection (in nondecreasing `when` order) and returns
+  // true, or returns false once the source is exhausted.
+  using InjectionSource = std::function<bool(Injection*)>;
+
+  // Open-loop arrivals drawn lazily: pulls one injection from `next`, and
+  // each time it fires, pulls and schedules the following one. All of them
+  // take one queue rank reserved here (Engine::ReserveRank), so the stream
+  // fires exactly as ScheduleInjection calls for every injection, made here
+  // in order, would — with one pending event instead of the whole trace.
+  void StreamInjections(InjectionSource next, int tag);
+
+  // Injections scheduled via ScheduleInjection that have not yet fired,
+  // plus one per open StreamInjections source.
   int pending_injections() const { return pending_injections_; }
 
   // Replicates every subsequent InjectTask into `replicas` copies sharing a
@@ -354,6 +373,15 @@ class Kernel {
   std::vector<ReplicaGroup> replica_groups_;  // indexed by Task::replica_group
   int root_cpu_ = -1;
   int pending_injections_ = 0;
+  // StreamInjections state; its events point at these.
+  struct InjectionStream {
+    InjectionSource next;
+    Injection pending;  // the scheduled, not yet fired injection
+    uint64_t rank = 0;
+    int tag = 0;
+  };
+  void ScheduleStreamed(InjectionStream* stream);
+  std::vector<std::unique_ptr<InjectionStream>> injection_streams_;
   int live_tasks_ = 0;
   int runnable_tasks_ = 0;
   uint64_t context_switches_ = 0;

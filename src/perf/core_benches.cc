@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/cfs/cfs_policy.h"
+#include "src/core/machine_run.h"
 #include "src/governors/governors.h"
 #include "src/hw/hardware.h"
 #include "src/kernel/kernel.h"
@@ -17,6 +18,7 @@
 #include "src/scenario/scenario.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
+#include "src/workloads/requests.h"
 
 namespace nestsim {
 
@@ -243,6 +245,35 @@ void RunSelectBenches(const char* machine, const BenchOptions& bench, BenchRepor
   }
 }
 
+// Cold starts per setup/requests@256 sample.
+constexpr int kSetupOps = 4;
+
+// setup/requests@256: a 256-CPU requests job from a cold start to its first
+// fired event — the machine stack, Kernel::Start, Workload::Setup and one
+// Step — in the shape of nestbench's scale256 (intel-8153-8s, Poisson 6400
+// req/s of 4 ms median service over 4 s, Nest). Each op also tears the stack
+// down again, pending events included.
+uint64_t RequestsSetup256() {
+  RequestSpec spec;
+  spec.name = "bench";
+  spec.rate_per_s = 6400.0;
+  spec.duration_s = 4.0;
+  spec.service_ms = 4.0;
+  const RequestWorkload workload(spec);
+  ExperimentConfig config;
+  config.machine = "intel-8153-8s";
+  config.scheduler = SchedulerKind::kNest;
+  for (int i = 0; i < kSetupOps; ++i) {
+    Engine engine;
+    MachineModel machine(&engine, MachineByName(config.machine), config);
+    machine.kernel.Start();
+    Rng rng(1);
+    workload.Setup(machine.kernel, rng);
+    engine.Step();
+  }
+  return kSetupOps;
+}
+
 std::string FileStem(const std::string& file) {
   const size_t slash = file.find_last_of('/');
   std::string stem = slash == std::string::npos ? file : file.substr(slash + 1);
@@ -278,6 +309,7 @@ void RunMicroBenches(const CoreBenchOptions& options, BenchReport* report) {
   for (const char* machine : {"amd-4650g-1s", "intel-5218-2s", "intel-8153-8s"}) {
     RunSelectBenches(machine, bench, report);
   }
+  report->Add(MeasureMedian("setup/requests@256", bench, &RequestsSetup256));
 }
 
 bool RunGridBench(const std::string& scenario_file, const CoreBenchOptions& options,

@@ -24,10 +24,11 @@ struct CoreBenchOptions {
   int grid_samples = 0;  // 0 = default (3 quick, 1 full)
 };
 
-// Event-queue, run-queue and PELT microbenchmarks, and the placement
+// Event-queue, run-queue and PELT microbenchmarks, the placement
 // selection records select/{cfs,nest}/{fork,wake}@{12,64,256}: SelectCpuFork
 // and SelectCpuWake on a warmed amd-4650g-1s, intel-5218-2s and
-// intel-8153-8s.
+// intel-8153-8s, and setup/requests@256: a 256-CPU open-loop requests job
+// from a cold start to its first fired event.
 void RunMicroBenches(const CoreBenchOptions& options, BenchReport* report);
 
 // Runs the scenario grid in `scenario_file` (resolved via the standard

@@ -33,6 +33,17 @@ class Engine {
     return queue_.Push(t, std::move(fn));
   }
 
+  // Reserves a queue position for events scheduled later with
+  // ScheduleAtRank (EventQueue::ReserveRank): each of them fires where an
+  // event scheduled now, at its timestamp, would have.
+  uint64_t ReserveRank() { return queue_.ReserveRank(); }
+
+  // ScheduleAt at a reserved rank; at most one pending event per rank.
+  EventId ScheduleAtRank(SimTime t, uint64_t rank, EventFn fn) {
+    assert(t >= now_ && "cannot schedule events in the past");
+    return queue_.PushAtRank(t, rank, std::move(fn));
+  }
+
   // Schedules `fn` to run `delay` from now. `delay` must be >= 0.
   EventId ScheduleAfter(SimDuration delay, EventFn fn) {
     return ScheduleAt(now_ + delay, std::move(fn));

@@ -41,7 +41,20 @@ class EventQueue {
   // Schedules `fn` to run at absolute time `t`. `t` may be in the past
   // relative to other queued events; ordering is by (t, insertion order).
   // Inline: one Push per scheduled event — the simulator's innermost loop.
-  EventId Push(SimTime t, EventFn fn) {
+  EventId Push(SimTime t, EventFn fn) { return PushAtRank(t, next_seq_++, std::move(fn)); }
+
+  // Takes one insertion rank out of the sequence without pushing anything.
+  // An event later pushed with PushAtRank at that rank sorts exactly where a
+  // Push made at reservation time would have: after every event pushed
+  // before the reservation and before every event pushed after it, at equal
+  // timestamps. A lazily generated stream that keeps at most one event
+  // pending reuses one rank for all of them, and so fires in the order an
+  // eager push of the whole stream at reservation time would give.
+  uint64_t ReserveRank() { return next_seq_++; }
+
+  // Push at a rank from ReserveRank. At most one event per rank may be
+  // pending at a time (two would tie on (t, rank)).
+  EventId PushAtRank(SimTime t, uint64_t rank, EventFn fn) {
     uint32_t slot;
     if (!free_slots_.empty()) {
       slot = free_slots_.back();
@@ -54,7 +67,7 @@ class EventQueue {
     s.fn = std::move(fn);
     s.live = true;
     ++live_;
-    heap_.push_back(HeapEntry{t, next_seq_++, slot});
+    heap_.push_back(HeapEntry{t, rank, slot});
     SiftUp(heap_.size() - 1);
     return MakeId(s.gen, slot);
   }

@@ -26,8 +26,7 @@ bool ArrivalKindFromName(const std::string& name, ArrivalKind* out) {
   return false;
 }
 
-RequestPlan RequestWorkload::BuildPlan(Rng& rng) const {
-  RequestPlan plan;
+RequestStream::RequestStream(RequestSpec spec, Rng rng) : spec_(std::move(spec)), rng_(rng) {
   // Arrivals by thinning: draw candidates from a homogeneous Poisson process
   // at the *peak* rate, then accept each with the ratio of the instantaneous
   // rate to the peak. The candidate stream (and thus every draw) depends only
@@ -36,59 +35,82 @@ RequestPlan RequestWorkload::BuildPlan(Rng& rng) const {
       spec_.arrivals == ArrivalKind::kBursty ? spec_.rate_per_s * spec_.burst_factor
                                              : spec_.rate_per_s;
   if (peak_rate <= 0.0 || spec_.duration_s <= 0.0) {
-    return plan;
+    done_ = true;
+  } else {
+    mean_gap_s_ = 1.0 / peak_rate;
   }
-  const double mean_gap_s = 1.0 / peak_rate;
-  constexpr double kPi = 3.14159265358979323846;
+}
 
-  double t = 0.0;  // seconds
-  while (true) {
-    t += rng.NextExponential(mean_gap_s);
-    if (t >= spec_.duration_s) {
+bool RequestStream::Next(RequestPart* part) {
+  if (subs_left_ > 0) {
+    const int f = spec_.fanout - --subs_left_;  // 1..fanout
+    std::string name = base_ + ".s" + std::to_string(f);
+    ProgramBuilder sub(name);
+    sub.ComputeMs(rng_.NextLogNormal(spec_.fanout_service_ms, spec_.service_sigma));
+    *part = {arrival_, requests_ - 1, f, sub.Build(), std::move(name)};
+    return true;
+  }
+  constexpr double kPi = 3.14159265358979323846;
+  while (!done_) {
+    t_ += rng_.NextExponential(mean_gap_s_);
+    if (t_ >= spec_.duration_s) {
+      done_ = true;
       break;
     }
     double accept = 1.0;
     if (spec_.arrivals == ArrivalKind::kBursty) {
-      const double phase = std::fmod(t, spec_.burst_every_s);
+      const double phase = std::fmod(t_, spec_.burst_every_s);
       if (phase >= spec_.burst_len_s) {
         accept /= spec_.burst_factor;  // outside the burst: baseline rate
       }
     }
     if (spec_.diurnal_depth > 0.0) {
       accept *= 1.0 - spec_.diurnal_depth * 0.5 *
-                          (1.0 + std::cos(2.0 * kPi * t / spec_.diurnal_period_s));
+                          (1.0 + std::cos(2.0 * kPi * t_ / spec_.diurnal_period_s));
     }
-    if (!rng.NextBool(accept)) {
+    if (!rng_.NextBool(accept)) {
       continue;
     }
 
-    const SimTime arrival = SecondsF(t);
-    const uint64_t req = plan.requests++;
-    const std::string base = spec_.name + "-req" + std::to_string(req);
-
-    ProgramBuilder parent(base);
-    parent.ComputeMs(rng.NextLogNormal(spec_.service_ms, spec_.service_sigma));
+    arrival_ = SecondsF(t_);
+    const uint64_t req = requests_++;
+    base_ = spec_.name + "-req" + std::to_string(req);
+    ProgramBuilder parent(base_);
+    parent.ComputeMs(rng_.NextLogNormal(spec_.service_ms, spec_.service_sigma));
     if (spec_.io_pause_ms > 0.0) {
-      parent.Sleep(MillisecondsF(rng.NextExponential(spec_.io_pause_ms)))
-          .ComputeMs(rng.NextLogNormal(spec_.service_ms * 0.3, spec_.service_sigma));
+      parent.Sleep(MillisecondsF(rng_.NextExponential(spec_.io_pause_ms)))
+          .ComputeMs(rng_.NextLogNormal(spec_.service_ms * 0.3, spec_.service_sigma));
     }
-    plan.parts.push_back({arrival, req, 0, parent.Build(), base});
-
-    for (int f = 0; f < spec_.fanout; ++f) {
-      ProgramBuilder sub(base + ".s" + std::to_string(f + 1));
-      sub.ComputeMs(rng.NextLogNormal(spec_.fanout_service_ms, spec_.service_sigma));
-      plan.parts.push_back({arrival, req, f + 1, sub.Build(), base + ".s" + std::to_string(f + 1)});
-    }
+    subs_left_ = spec_.fanout;
+    *part = {arrival_, req, 0, parent.Build(), base_};
+    return true;
   }
+  return false;
+}
+
+RequestPlan RequestWorkload::BuildPlan(Rng& rng) const {
+  RequestStream stream(spec_, rng);
+  RequestPlan plan;
+  RequestPart part;
+  while (stream.Next(&part)) {
+    plan.parts.push_back(std::move(part));
+  }
+  plan.requests = stream.requests();
+  rng = stream.rng();
   return plan;
 }
 
 void RequestWorkload::Setup(Kernel& kernel, Rng& rng) const {
-  Rng wl_rng = rng.Fork();
-  const RequestPlan plan = BuildPlan(wl_rng);
-  for (const RequestPart& part : plan.parts) {
-    kernel.ScheduleInjection(part.arrival, part.program, part.name, tag());
-  }
+  kernel.StreamInjections(
+      [stream = RequestStream(spec_, rng.Fork())](Kernel::Injection* next) mutable {
+        RequestPart part;
+        if (!stream.Next(&part)) {
+          return false;
+        }
+        *next = {part.arrival, std::move(part.program), std::move(part.name)};
+        return true;
+      },
+      tag());
 }
 
 }  // namespace nestsim

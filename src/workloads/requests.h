@@ -6,12 +6,15 @@
 // measured against offered load instead of self-throttling with it. Each
 // request is a short detached task (optionally with microservice-style
 // fan-out parts) injected through the scheduler's fork path via
-// Kernel::ScheduleInjection.
+// Kernel::StreamInjections.
 //
-// All randomness is pre-drawn into a RequestPlan in arrival order, so the
-// same seed yields the same traffic whether the plan is replayed on one
-// machine (Workload::Setup) or routed across a cluster (src/cluster/) — the
-// router's choice cannot perturb the draws.
+// All randomness comes from one RequestStream, which owns its own forked
+// generator and yields parts in arrival order, drawing each part only when
+// it is asked for. Nothing in the simulation touches that generator, so the
+// same seed yields the same traffic whether the stream feeds one machine
+// (Workload::Setup) or is routed across a cluster (src/cluster/) — the
+// router's choice cannot perturb the draws — and drawing lazily gives the
+// same parts as drawing the whole trace up front (BuildPlan).
 
 #ifndef NESTSIM_SRC_WORKLOADS_REQUESTS_H_
 #define NESTSIM_SRC_WORKLOADS_REQUESTS_H_
@@ -78,18 +81,52 @@ struct RequestPlan {
   uint64_t requests = 0;           // parent count (offered load)
 };
 
+// The traffic trace of one RequestSpec, drawn one part at a time: a
+// thinning cursor over candidate arrivals plus the fan-out cursor of the
+// current request. Parts come in plan order, each drawn from `rng` exactly
+// as the whole-trace loop would draw it, so draining a stream gives
+// BuildPlan's parts.
+class RequestStream {
+ public:
+  RequestStream(RequestSpec spec, Rng rng);
+
+  // Fills *part with the next part and returns true, or returns false once
+  // the arrival horizon is reached (and on every later call).
+  bool Next(RequestPart* part);
+
+  // Parents drawn so far; the offered load once Next returned false.
+  uint64_t requests() const { return requests_; }
+
+  // The generator, advanced past every draw so far.
+  const Rng& rng() const { return rng_; }
+
+ private:
+  RequestSpec spec_;
+  Rng rng_;
+  double mean_gap_s_ = 0.0;  // between candidates, at the peak rate
+  double t_ = 0.0;           // last candidate arrival, seconds
+  bool done_ = false;
+  uint64_t requests_ = 0;
+  // The current request, while its fan-out subs are still to come.
+  SimTime arrival_ = 0;
+  std::string base_;
+  int subs_left_ = 0;
+};
+
 class RequestWorkload : public Workload {
  public:
   explicit RequestWorkload(RequestSpec spec) : spec_(std::move(spec)) {}
 
   std::string name() const override { return "requests-" + spec_.name; }
 
-  // Single-machine path: replays the plan onto one kernel. Draws exactly one
-  // Fork() from `rng`, like every other workload's Setup.
+  // Single-machine path: streams the traffic into one kernel
+  // (Kernel::StreamInjections). Draws exactly one Fork() from `rng`, like
+  // every other workload's Setup.
   void Setup(Kernel& kernel, Rng& rng) const override;
 
-  // Pre-draws the whole traffic trace. The cluster runner calls this with the
-  // same forked stream Setup would use, then routes each part itself.
+  // The whole traffic trace at once: a drained RequestStream on `rng`, which
+  // is advanced past every draw. The cluster runner streams the same parts
+  // from the same forked generator Setup uses.
   RequestPlan BuildPlan(Rng& rng) const;
 
   const RequestSpec& spec() const { return spec_; }

@@ -311,5 +311,41 @@ TEST(RequestPlanTest, BurstyOffersMoreThanPoissonAtSameBaseRate) {
   EXPECT_GT(b.requests, p.requests);
 }
 
+// A time limit that stops a fleet mid-traffic. Requests that never arrived
+// still count as offered, exactly as many as the whole plan holds, and only
+// arrived requests can complete or fail. The completed/failed/degraded
+// counts are pinned to what the runner reported for this run when it pushed
+// the whole plan up front, before arrivals were streamed.
+TEST(ClusterRunTest, TimeLimitedRunCountsTheWholeOffer) {
+  RequestSpec spec = SmallTraffic();
+  spec.rate_per_s = 4000.0;
+  spec.service_ms = 2.0;
+  spec.duration_s = 0.2;
+  spec.fanout = 2;
+  const RequestWorkload workload(spec);
+  ExperimentConfig config = SmallConfig(SchedulerKind::kNest);
+  config.fault.machine_fail_rate_per_s = 30.0;
+  config.fault.machine_downtime_ms = 20.0;
+  config.time_limit = 100 * kMillisecond;
+  const ExperimentResult r =
+      RunClusterExperiment(ClusterSpec{2, "least-loaded"}, config, workload);
+
+  Rng rng(config.seed);
+  Rng wl_rng = rng.Fork();
+  const RequestPlan plan = workload.BuildPlan(wl_rng);
+  uint64_t arrived = 0;
+  for (const RequestPart& part : plan.parts) {
+    arrived += part.part == 0 && part.arrival <= config.time_limit ? 1 : 0;
+  }
+  EXPECT_TRUE(r.hit_time_limit);
+  EXPECT_EQ(r.cluster.requests_offered, plan.requests);
+  EXPECT_LT(arrived, plan.requests);
+  EXPECT_LE(r.cluster.requests_completed + r.resilience.requests_failed, arrived);
+  EXPECT_EQ(r.cluster.requests_offered, 802u);
+  EXPECT_EQ(r.cluster.requests_completed, 384u);
+  EXPECT_EQ(r.resilience.requests_failed, 18u);
+  EXPECT_EQ(r.resilience.requests_degraded, 0u);
+}
+
 }  // namespace
 }  // namespace nestsim

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/cfs/cfs_policy.h"
 #include "src/governors/governors.h"
@@ -485,6 +486,60 @@ TEST(KernelTest, FullWidthMachineFitsCpuMask) {
   PerformanceGovernor governor;
   Kernel kernel(&engine, &hw, &cfs, &governor);
   EXPECT_EQ(kernel.idle_cpus().Count(), CpuMask::kMaxCpus);
+}
+
+// The order of injections against other events at shared instants, logged
+// as (label, time, tasks created, tasks runnable) at marker events pushed
+// before and after the injections were set up. With zero placement latency
+// every injection also schedules its enqueue at its own arrival instant.
+std::vector<std::string> InjectionOrder(bool streamed) {
+  Rig rig;
+  std::vector<std::string> log;
+  auto mark = [&](const char* label) {
+    log.push_back(std::string(label) + "@" + std::to_string(rig.engine.Now()) +
+                  " tasks=" + std::to_string(rig.kernel.tasks().size()) +
+                  " runnable=" + std::to_string(rig.kernel.runnable_tasks()));
+  };
+  const std::vector<SimTime> times = {1000, 1000, 1000, 2000};
+  ProgramBuilder builder("req");
+  builder.Compute(500);
+  const ProgramPtr program = builder.Build();
+  rig.engine.ScheduleAt(1000, [&] { mark("before"); });
+  if (streamed) {
+    rig.kernel.StreamInjections(
+        [&times, &program, next = size_t{0}](Kernel::Injection* injection) mutable {
+          if (next == times.size()) {
+            return false;
+          }
+          *injection = {times[next], program, "req" + std::to_string(next)};
+          ++next;
+          return true;
+        },
+        /*tag=*/1);
+  } else {
+    for (size_t i = 0; i < times.size(); ++i) {
+      rig.kernel.ScheduleInjection(times[i], program, "req" + std::to_string(i), /*tag=*/1);
+    }
+  }
+  rig.engine.ScheduleAt(1000, [&] { mark("after"); });
+  rig.engine.ScheduleAt(2000, [&] { mark("after"); });
+  EXPECT_GT(rig.kernel.pending_injections(), 0);
+  while (rig.kernel.live_tasks() > 0 || rig.kernel.pending_injections() > 0) {
+    EXPECT_TRUE(rig.engine.Step());
+  }
+  mark("done");
+  return log;
+}
+
+TEST(KernelTest, StreamedInjectionsFireWhereScheduledOnesWould) {
+  const std::vector<std::string> scheduled = InjectionOrder(/*streamed=*/false);
+  EXPECT_EQ(InjectionOrder(/*streamed=*/true), scheduled);
+  // All three injections at 1000 land between the two markers; the one at
+  // 2000 precedes its marker.
+  EXPECT_EQ(scheduled, (std::vector<std::string>{"before@1000 tasks=0 runnable=0",
+                                                 "after@1000 tasks=3 runnable=3",
+                                                 "after@2000 tasks=4 runnable=3",
+                                                 "done@2500 tasks=4 runnable=0"}));
 }
 
 }  // namespace

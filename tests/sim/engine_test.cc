@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 namespace nestsim {
@@ -109,6 +111,59 @@ TEST(EngineTest, PendingEventsCount) {
   EXPECT_EQ(engine.pending_events(), 2u);
   engine.Step();
   EXPECT_EQ(engine.pending_events(), 1u);
+}
+
+// A stream of timestamped events with ties among themselves and with events
+// pushed before the reservation, after it, and from inside a fired event.
+// Run eagerly (every stream event pushed at reservation time) or lazily (one
+// pending at the reserved rank, the next scheduled when it fires).
+std::vector<std::string> RunStream(bool lazy) {
+  Engine engine;
+  std::vector<std::string> log;
+  auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(engine.Now()));
+  };
+  const std::vector<SimTime> stream = {10, 20, 20, 20, 30, 40};
+  for (const SimTime t : {10, 20, 30}) {
+    engine.ScheduleAt(t, [&note] { note("before"); });
+  }
+  const uint64_t rank = lazy ? engine.ReserveRank() : 0;
+  size_t next = 0;
+  std::function<void()> fire = [&] {
+    const size_t i = next++;
+    note("stream" + std::to_string(i));
+    if (i == 1) {
+      engine.ScheduleAt(engine.Now(), [&note] { note("spawned"); });
+    }
+    if (lazy && next < stream.size()) {
+      engine.ScheduleAtRank(stream[next], rank, [&fire] { fire(); });
+    }
+  };
+  if (lazy) {
+    engine.ScheduleAtRank(stream[0], rank, [&fire] { fire(); });
+  } else {
+    for (const SimTime t : stream) {
+      engine.ScheduleAt(t, [&fire] { fire(); });
+    }
+  }
+  for (const SimTime t : {20, 30, 40}) {
+    engine.ScheduleAt(t, [&note] { note("after"); });
+  }
+  engine.RunUntilIdle();
+  return log;
+}
+
+TEST(EngineTest, ReservedRankFiresWhereAnEagerPushWould) {
+  const std::vector<std::string> eager = RunStream(/*lazy=*/false);
+  const std::vector<std::string> lazy = RunStream(/*lazy=*/true);
+  EXPECT_EQ(lazy, eager);
+  // At each instant: events pushed before the reservation, then the stream,
+  // then everything pushed after it — including the event a stream part
+  // spawned at 20, which trails the parts still to come at 20.
+  EXPECT_EQ(eager, (std::vector<std::string>{
+                       "before@10", "stream0@10", "before@20", "stream1@20", "stream2@20",
+                       "stream3@20", "after@20", "spawned@20", "before@30", "stream4@30",
+                       "after@30", "stream5@40", "after@40"}));
 }
 
 }  // namespace

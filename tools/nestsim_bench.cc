@@ -30,7 +30,8 @@ int Usage(const char* argv0) {
                "options:\n"
                "  --quick            CI-sized grid slices; record names gain ':quick'\n"
                "  --no-micro         skip the microbenches (event queue, run queue, PELT,\n"
-               "                     select/{cfs,nest}/{fork,wake}@{12,64,256})\n"
+               "                     select/{cfs,nest}/{fork,wake}@{12,64,256},\n"
+               "                     setup/requests@256)\n"
                "  --grid FILE        grid scenario to benchmark (repeatable;\n"
                "                     default: table4.json fig12.json)\n"
                "  --no-grid          skip the grid benchmarks entirely\n"
