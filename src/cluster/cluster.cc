@@ -197,8 +197,8 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
       return;
     }
     part_quorum_exit[part] = now;
-    // Mirror the kernel-side replica path: the winning copy's machine logs
-    // the quorum join so SchedCounters sees it in cluster runs too.
+    // The winning copy's machine logs the quorum join, so SchedCounters
+    // count it.
     if (copy_refs[copy].kernel != nullptr) {
       copy_refs[copy].kernel->NotifyFaultEvent(FaultEventKind::kReplicaQuorumJoin, -1, nullptr);
     }
@@ -286,7 +286,7 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
                                       [](const MachineRun* m) { return m->live(); });
   };
   // Replication's quorum reaps are same-instant cross-domain feedback (zero
-  // lookahead), so they force the lockstep executor regardless of sync mode.
+  // lookahead), so they force the lockstep executor.
   ExperimentResult result =
       RunMachines(group, machines, config, fleet_live, /*lockstep=*/replicas > 1);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 
 #include "src/cfs/cfs_policy.h"
 #include "src/core/machine_run.h"
@@ -106,6 +107,13 @@ std::unique_ptr<SchedulerPolicy> MakeSchedulerPolicy(const ExperimentConfig& con
 }
 
 ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& workload) {
+  if (config.fault.replicas > 1) {
+    // Replication is the fleet runner's quorum (src/cluster/cluster.cc); one
+    // machine replicates as a 1-machine passthrough fleet.
+    throw std::invalid_argument("fault.replicas > 1 needs RunClusterExperiment "
+                                "(\"cluster\": {\"machines\": 1} for one machine)");
+  }
+
   if (config.scheduler == SchedulerKind::kNestOracle && config.predict.oracle_plan == nullptr) {
     // Two-pass oracle protocol (docs/PREDICTION.md): pass 1 runs the
     // identical experiment under plain Nest and records per-window peak
@@ -130,9 +138,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, const Workload& w
   Engine& engine = group.domain(0);
   MachineRun machine(&engine, config);
   Kernel& kernel = machine.kernel;
-  if (config.fault.replicas > 1) {
-    kernel.SetInjectionReplication(config.fault.replicas, config.fault.quorum);
-  }
 
   // Single-machine extras on top of the standard observer set.
   std::unique_ptr<TraceRecorder> trace;

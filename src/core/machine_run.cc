@@ -151,9 +151,7 @@ ExperimentResult RunMachines(DomainGroup& group, const std::vector<MachineRun*>&
   DomainGroup::RunOptions options;
   options.time_limit = config.time_limit;
   options.workers = config.parallel.workers;
-  options.lockstep = lockstep || config.parallel.sync == "lockstep";
-  options.max_window =
-      static_cast<SimDuration>(config.parallel.lookahead_us * static_cast<double>(kMicrosecond));
+  options.lockstep = lockstep;
   options.live = live;
   options.should_abort = config.should_abort;
   options.healthy = [&machines] {

@@ -41,9 +41,10 @@ struct FaultSpec {
   // Horizon the plan covers, seconds; 0 uses the config time limit.
   double horizon_s = 0.0;
 
-  // Replication of injected (open-loop request) tasks: each injection spawns
-  // `replicas` copies of the same drawn program; the first `quorum` exits win
-  // and the rest are reaped. replicas <= 1 disables; quorum 0 means 1.
+  // Replication of request parts, fleet runs only (src/cluster/cluster.cc;
+  // one machine replicates as a 1-machine fleet): each part is routed as
+  // `replicas` copies of the same drawn program; the first `quorum` exits
+  // win and the rest are reaped. replicas <= 1 disables; quorum 0 means 1.
   int replicas = 1;
   int quorum = 0;
 

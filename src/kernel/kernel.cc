@@ -103,29 +103,6 @@ Task* Kernel::SpawnInitial(ProgramPtr program, std::string name, int tag, int cp
 }
 
 Task* Kernel::InjectTask(ProgramPtr program, std::string name, int tag) {
-  if (injection_replicas_ <= 1) {
-    return InjectOne(std::move(program), std::move(name), tag, /*replica_group=*/-1);
-  }
-  // Replication (src/fault/): N copies of the already-drawn program share a
-  // fresh group; the first `quorum` exits win and HandleReplicaExit reaps the
-  // rest. Copies are placed one after another through the normal fork path,
-  // so the policy naturally spreads them.
-  const int group_id = static_cast<int>(replica_groups_.size());
-  replica_groups_.emplace_back();
-  replica_groups_[static_cast<size_t>(group_id)].quorum = injection_quorum_;
-  Task* first = nullptr;
-  for (int i = 0; i < injection_replicas_; ++i) {
-    std::string copy_name = i == 0 ? name : name + ".r" + std::to_string(i);
-    Task* copy = InjectOne(program, std::move(copy_name), tag, group_id);
-    replica_groups_[static_cast<size_t>(group_id)].members.push_back(copy);
-    if (first == nullptr) {
-      first = copy;
-    }
-  }
-  return first;
-}
-
-Task* Kernel::InjectOne(ProgramPtr program, std::string name, int tag, int replica_group) {
   assert(started_ && "call Start() before injecting tasks");
   // A request arrives via interrupt on the boot CPU; placement history starts
   // there, mirroring how a fork starts at the parent's core.
@@ -134,15 +111,9 @@ Task* Kernel::InjectOne(ProgramPtr program, std::string name, int tag, int repli
   }
   Task* task = NewTask(std::move(program), std::move(name), tag, /*parent=*/nullptr);
   task->prev_cpu = root_cpu_;
-  task->replica_group = replica_group;
   const int cpu = policy_->SelectCpuFork(*task, task->prev_cpu);
   PlaceTask(task, cpu, /*is_fork=*/true);
   return task;
-}
-
-void Kernel::SetInjectionReplication(int replicas, int quorum) {
-  injection_replicas_ = std::max(1, replicas);
-  injection_quorum_ = std::min(std::max(1, quorum), injection_replicas_);
 }
 
 void Kernel::ScheduleInjection(SimTime when, ProgramPtr program, std::string name, int tag) {
@@ -342,10 +313,6 @@ void Kernel::ExitCurrent(int cpu) {
   // Nest demotes a core whose task terminated leaving it idle (§3.1). The
   // hook runs after rescheduling so the policy sees the post-exit state.
   policy_->OnTaskExit(*task, cpu);
-
-  if (task->replica_group >= 0) {
-    HandleReplicaExit(task, cpu);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,26 +1087,6 @@ void Kernel::KillTask(Task* task, FaultEventKind kind) {
     ScheduleCpu(cpu);
     policy_->OnTaskExit(*task, cpu);
   }
-}
-
-void Kernel::HandleReplicaExit(Task* task, int cpu) {
-  ReplicaGroup& group = replica_groups_[static_cast<size_t>(task->replica_group)];
-  ++group.completions;
-  if (group.completions != group.quorum || group.reaped) {
-    return;
-  }
-  group.reaped = true;
-  NotifyFaultEvent(FaultEventKind::kReplicaQuorumJoin, cpu, task);
-  // Reap the losers from a fresh event: KillTask re-enters the scheduler and
-  // must not run inside the winner's exit path.
-  const int group_id = task->replica_group;
-  engine_->ScheduleAt(engine_->Now(), [this, group_id] {
-    for (Task* member : replica_groups_[static_cast<size_t>(group_id)].members) {
-      if (member->state != TaskState::kDead) {
-        KillTask(member, FaultEventKind::kReplicaReaped);
-      }
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -122,14 +122,6 @@ class Kernel {
   // plus one per open StreamInjections source.
   int pending_injections() const { return pending_injections_; }
 
-  // Replicates every subsequent InjectTask into `replicas` copies sharing a
-  // fresh replica group: the first `quorum` copies to exit win and the rest
-  // are reaped (src/fault/). Single-machine runs only — the cluster runner
-  // replicates across machines itself. replicas <= 1 disables (the default);
-  // the copies share the already-drawn program, so enabling replication does
-  // not perturb any workload randomness.
-  void SetInjectionReplication(int replicas, int quorum);
-
   // ---- Fault injection (src/fault/). ----
 
   // Whether `cpu` is online (failed cores are refused by every placement and
@@ -266,14 +258,6 @@ class Kernel {
     bool online = true;             // false while failed (src/fault/)
   };
 
-  // Replica-quorum bookkeeping for injected tasks (src/fault/).
-  struct ReplicaGroup {
-    std::vector<Task*> members;
-    int quorum = 1;
-    int completions = 0;
-    bool reaped = false;
-  };
-
   // -- Task lifecycle --
   Task* NewTask(ProgramPtr program, std::string name, int tag, Task* parent);
   void ForkChild(Task& parent, ProgramPtr program);
@@ -323,11 +307,6 @@ class Kernel {
   // Lowest-numbered online CPU: the deterministic redirect target when a
   // placement's chosen CPU went offline in flight.
   int FallbackOnlineCpu() const;
-  // One injected task (replica-aware wrapper body of InjectTask).
-  Task* InjectOne(ProgramPtr program, std::string name, int tag, int replica_group);
-  // Exit-side replica accounting: counts completions, fires the quorum join,
-  // and schedules the reap of losing copies.
-  void HandleReplicaExit(Task* task, int cpu);
 
   // Re-derives `cpu`'s bits in idle_cpus_/overloaded_cpus_ from its run
   // queue. Must run after every Enqueue/Dequeue/set_curr and before the
@@ -368,9 +347,6 @@ class Kernel {
   bool cache_tracking_ = false;  // params_.cache.enabled() || policy wants it
   uint64_t enqueue_count_ = 0;  // drives the test_skip_enqueue_dispatch hook
   int online_cpus_ = 0;          // count of online CPUs (== num_cpus unless faults)
-  int injection_replicas_ = 1;   // copies per InjectTask (1 == off)
-  int injection_quorum_ = 1;     // completions that win a replica group
-  std::vector<ReplicaGroup> replica_groups_;  // indexed by Task::replica_group
   int root_cpu_ = -1;
   int pending_injections_ = 0;
   // StreamInjections state; its events point at these.

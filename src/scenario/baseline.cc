@@ -1,5 +1,6 @@
 #include "src/scenario/baseline.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "src/campaign/jsonl_sink.h"
+#include "src/obs/json_check.h"
 
 namespace nestsim {
 
@@ -128,49 +130,56 @@ std::string BaselineJobRecord(const Job& job, const JobOutcome& outcome) {
   return out;
 }
 
-// Compares one scalar field of the fresh job against the golden record;
-// doubles compare as their %.17g renderings (exact round-trip).
-struct JobComparer {
-  const JsonValue& golden;
-  const std::string id;  // "machine x row x variant"
-  BaselineCheck& check;
-
-  void Problem(const std::string& what) const { check.problems.push_back(id + ": " + what); }
-
-  const JsonValue* Field(const JsonValue& obj, const char* key) const {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr) {
-      Problem(std::string("golden record lacks \"") + key + "\"");
-    }
-    return v;
+// A scalar as a problem message shows it: numbers as their %.17g rendering
+// (exact round-trip), strings quoted.
+std::string Render(const JsonValue& v) {
+  if (v.is_number()) {
+    return FormatDouble(v.number);
   }
-
-  void ExpectString(const JsonValue& obj, const char* key, const std::string& fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_string() || v->string != fresh)) {
-      Problem(std::string(key) + " changed: golden \"" + (v->is_string() ? v->string : "?") +
-              "\", fresh \"" + fresh + "\"");
-    }
+  if (v.is_string()) {
+    return "\"" + v.string + "\"";
   }
+  return JsonSerialize(v);
+}
 
-  void ExpectU64(const JsonValue& obj, const char* key, uint64_t fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_number() || FormatDouble(v->number) !=
-                                               FormatDouble(static_cast<double>(fresh)))) {
-      Problem(std::string(key) + " changed: golden " +
-              (v->is_number() ? FormatDouble(v->number) : "?") + ", fresh " +
-              std::to_string(fresh));
+// Diffs a fresh record against its golden counterpart key by key: both
+// sides must carry the same keys, arrays the same length, and every scalar
+// the same rendering. Each problem names the field by `path`
+// ("runs[0].makespan_ns").
+void DiffRecord(const JsonValue& golden, const JsonValue& fresh, const std::string& path,
+                const std::string& id, std::vector<std::string>* problems) {
+  const std::string prefix = path.empty() ? "" : path + ".";
+  if (golden.is_object() && fresh.is_object()) {
+    for (const auto& [key, value] : fresh.members) {
+      const JsonValue* g = golden.Find(key);
+      if (g == nullptr) {
+        problems->push_back(id + ": golden record lacks \"" + prefix + key + "\"");
+      } else {
+        DiffRecord(*g, value, prefix + key, id, problems);
+      }
     }
-  }
-
-  void ExpectDouble(const JsonValue& obj, const char* key, double fresh) const {
-    const JsonValue* v = Field(obj, key);
-    if (v != nullptr && (!v->is_number() || FormatDouble(v->number) != FormatDouble(fresh))) {
-      Problem(std::string(key) + " changed: golden " +
-              (v->is_number() ? FormatDouble(v->number) : "?") + ", fresh " + FormatDouble(fresh));
+    for (const auto& [key, value] : golden.members) {
+      if (fresh.Find(key) == nullptr) {
+        problems->push_back(id + ": golden record has \"" + prefix + key +
+                            "\", which the fresh record lacks");
+      }
     }
+  } else if (golden.is_array() && fresh.is_array()) {
+    if (golden.items.size() != fresh.items.size()) {
+      problems->push_back(id + ": " + path + " length changed: golden " +
+                          std::to_string(golden.items.size()) + ", fresh " +
+                          std::to_string(fresh.items.size()));
+      return;
+    }
+    for (size_t i = 0; i < fresh.items.size(); ++i) {
+      DiffRecord(golden.items[i], fresh.items[i], path + "[" + std::to_string(i) + "]", id,
+                 problems);
+    }
+  } else if (Render(golden) != Render(fresh)) {
+    problems->push_back(id + ": " + path + " changed: golden " + Render(golden) + ", fresh " +
+                        Render(fresh));
   }
-};
+}
 
 }  // namespace
 
@@ -301,73 +310,41 @@ BaselineCheck CheckBaseline(const ScenarioRun& run, const std::string& dir,
     return check;
   }
 
+  // The fresh side is the record the writer would append, so the golden's
+  // field list lives in BaselineJobRecord alone.
   for (size_t i = 0; i < run.jobs.size(); ++i) {
     const Job& job = run.jobs[i];
     const JobOutcome& outcome = run.outcomes[i];
     const JsonValue& golden = records[i + 1];
-    JobComparer cmp{golden,
-                    job.config.machine + " x " + job.workload + " x " + job.variant, check};
+    const std::string id = job.config.machine + " x " + job.workload + " x " + job.variant;
     ++check.compared;
 
-    cmp.ExpectString(golden, "machine", job.config.machine);
-    cmp.ExpectString(golden, "row", job.workload);
-    cmp.ExpectString(golden, "variant", job.variant);
-    cmp.ExpectString(golden, "status", JobStatusName(outcome.status));
-
-    if (wall_tolerance > 0.0) {
-      const JsonValue* wall = golden.Find("wall_s");
-      if (wall != nullptr && wall->is_number()) {
+    JsonValue fresh;
+    std::string json_error;
+    if (!JsonParse(BaselineJobRecord(job, outcome), &fresh, &json_error)) {
+      check.problems.push_back(id + ": fresh record does not parse: " + json_error);
+      continue;
+    }
+    // wall_s is wall-clock: only the tolerance band checks it, so the key
+    // diff sees the golden's own value.
+    const JsonValue* wall = golden.Find("wall_s");
+    if (wall != nullptr && wall->is_number()) {
+      if (wall_tolerance > 0.0) {
         const double band = wall_tolerance * std::max(wall->number, 1e-3);
         if (std::fabs(outcome.wall_seconds - wall->number) > band) {
-          cmp.Problem("wall_s outside tolerance: golden " + FormatDouble(wall->number) +
-                      ", fresh " + FormatDouble(outcome.wall_seconds) + " (band ±" +
-                      FormatDouble(band) + ")");
+          check.problems.push_back(id + ": wall_s outside tolerance: golden " +
+                                   FormatDouble(wall->number) + ", fresh " +
+                                   FormatDouble(outcome.wall_seconds) + " (band ±" +
+                                   FormatDouble(band) + ")");
+        }
+      }
+      for (auto& [key, value] : fresh.members) {
+        if (key == "wall_s") {
+          value = *wall;
         }
       }
     }
-
-    if (!outcome.ok()) {
-      continue;
-    }
-    const JsonValue* runs = golden.Find("runs");
-    if (runs == nullptr || !runs->is_array() ||
-        runs->items.size() != outcome.result.runs.size()) {
-      cmp.Problem("runs array shape changed");
-      continue;
-    }
-    for (size_t r = 0; r < outcome.result.runs.size(); ++r) {
-      const ExperimentResult& fresh = outcome.result.runs[r];
-      const JsonValue& grun = runs->items[r];
-      cmp.ExpectU64(grun, "seed", job.base_seed + r);
-      cmp.ExpectU64(grun, "makespan_ns", static_cast<uint64_t>(fresh.makespan));
-      cmp.ExpectDouble(grun, "energy_j", fresh.energy_joules);
-      cmp.ExpectDouble(grun, "underload_per_s", fresh.underload_per_s);
-      cmp.ExpectU64(grun, "context_switches", fresh.context_switches);
-      cmp.ExpectU64(grun, "migrations", fresh.migrations);
-      cmp.ExpectU64(grun, "tasks_created", static_cast<uint64_t>(fresh.tasks_created));
-      cmp.ExpectString(grun, "counters", SchedCountersDigest(fresh.counters));
-      if (job.config.record_latency) {
-        cmp.ExpectDouble(grun, "wakeup_p50_us", fresh.p50_wakeup_latency_us);
-        cmp.ExpectDouble(grun, "wakeup_p99_us", fresh.p99_wakeup_latency_us);
-      }
-      if (fresh.cluster.num_machines > 0) {
-        cmp.ExpectU64(grun, "requests_offered", fresh.cluster.requests_offered);
-        cmp.ExpectU64(grun, "requests_completed", fresh.cluster.requests_completed);
-        cmp.ExpectDouble(grun, "latency_p50_ms", fresh.cluster.p50_ms);
-        cmp.ExpectDouble(grun, "latency_p99_ms", fresh.cluster.p99_ms);
-        cmp.ExpectDouble(grun, "latency_p999_ms", fresh.cluster.p999_ms);
-      }
-      if (fresh.resilience.any()) {
-        cmp.ExpectU64(grun, "tasks_killed", fresh.resilience.tasks_killed);
-        cmp.ExpectU64(grun, "replicas_reaped", fresh.resilience.replicas_reaped);
-        cmp.ExpectU64(grun, "evacuations", fresh.resilience.evacuations);
-        cmp.ExpectDouble(grun, "work_lost_ms", fresh.resilience.work_lost_ms);
-        cmp.ExpectDouble(grun, "wasted_replica_ms", fresh.resilience.wasted_replica_ms);
-        cmp.ExpectDouble(grun, "mean_evac_latency_us", fresh.resilience.mean_evac_latency_us);
-        cmp.ExpectU64(grun, "requests_failed", fresh.resilience.requests_failed);
-        cmp.ExpectU64(grun, "requests_degraded", fresh.resilience.requests_degraded);
-      }
-    }
+    DiffRecord(golden, fresh, "", id, &check.problems);
   }
   return check;
 }

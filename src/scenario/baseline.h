@@ -3,9 +3,11 @@
 // RecordBaseline writes one JSONL file per scenario under a baselines
 // directory: a header line plus one record per job in expansion order, each
 // carrying the deterministic per-run fields (makespan_ns, energy, underload,
-// counter digests). CheckBaseline re-runs the scenario and compares:
-// deterministic fields must match exactly (simulations are bit-reproducible
-// from the seed), wall-clock only within an optional tolerance band. The
+// counter digests). CheckBaseline renders the fresh run's records the same
+// way and diffs them against the golden key by key: the key sets must be
+// equal and deterministic fields must match exactly (simulations are
+// bit-reproducible from the seed), wall-clock only within an optional
+// tolerance band. The
 // verdict serialises to BENCH_scenarios.json for CI.
 
 #ifndef NESTSIM_SRC_SCENARIO_BASELINE_H_

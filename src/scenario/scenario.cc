@@ -380,13 +380,13 @@ const std::vector<OverrideSpec>& Overrides() {
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideDouble(v, 0.0, 1e6, &c->fault.horizon_s);
        }},
-      // Task replication: N copies per injected task (cluster: per request
-      // part), JOIN on the first `quorum` completions; losers are reaped.
+      // Task replication (cluster scenarios only): N copies per request part,
+      // JOIN on the first `quorum` completions; losers are reaped.
       {"replicas", "integer in [1, 16]",
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideInt(v, 1, 16, &c->fault.replicas);
        }},
-      {"fault.quorum", "integer in [0, 16] (0 = all replicas)",
+      {"fault.quorum", "integer in [0, 16] (0 = 1)",
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideInt(v, 0, 16, &c->fault.quorum);
        }},
@@ -432,25 +432,12 @@ const std::vector<OverrideSpec>& Overrides() {
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideInt(v, 0, 4096, &c->predict.oracle_margin);
        }},
-      // Parallel (PDES) execution knobs (src/sim/parallel.h,
+      // Parallel (PDES) worker count (src/sim/parallel.h,
       // docs/PARALLEL.md). Pure execution policy: results are byte-identical
       // at any setting, so goldens never record them.
       {"parallel.workers", "integer in [0, 64]",
        [](ExperimentConfig* c, const JsonValue& v) {
          return OverrideInt(v, 0, 64, &c->parallel.workers);
-       }},
-      {"parallel.sync", "string (auto | window | lockstep)",
-       [](ExperimentConfig* c, const JsonValue& v) {
-         std::string s;
-         if (!OverrideString(v, &s) || (s != "auto" && s != "window" && s != "lockstep")) {
-           return false;
-         }
-         c->parallel.sync = s;
-         return true;
-       }},
-      {"parallel.lookahead_us", "number in [0, 1e9]",
-       [](ExperimentConfig* c, const JsonValue& v) {
-         return OverrideDouble(v, 0.0, 1e9, &c->parallel.lookahead_us);
        }},
   };
   return *specs;
@@ -840,6 +827,19 @@ void ParseConfigAndSweep(SpecReader& reader, Scenario* out, ScenarioError* err) 
   }
 }
 
+// Replication is the fleet runner's quorum (src/cluster/cluster.cc), so a
+// `replicas` override > 1 needs a "cluster" block; one machine replicates as
+// the passthrough fleet "cluster": {"machines": 1}. `path` names the
+// override object (config, a variant's config, or the sweep).
+void RejectReplicasWithoutCluster(const std::string& key, const JsonValue& value,
+                                  const std::string& path, ScenarioError* err) {
+  if (key == "replicas" && value.is_number() && value.number > 1) {
+    err->Add(path + "/replicas",
+             "\"replicas\" > 1 needs a \"cluster\" block (replication is fleet-only; "
+             "use \"cluster\": {\"machines\": 1} for one machine)");
+  }
+}
+
 }  // namespace
 
 bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenario* out,
@@ -869,6 +869,22 @@ bool ParseScenario(const JsonValue& root, const std::string& file_label, Scenari
 
   if (out->variants.empty() && err->ok()) {
     err->Add(file_label, "no variants");
+  }
+  if (!out->has_cluster) {
+    for (const auto& [key, value] : out->config.members) {
+      RejectReplicasWithoutCluster(key, value, file_label + "/config", err);
+    }
+    for (size_t i = 0; i < out->variants.size(); ++i) {
+      for (const auto& [key, value] : out->variants[i].config.members) {
+        RejectReplicasWithoutCluster(
+            key, value, file_label + "/variants[" + std::to_string(i) + "]/config", err);
+      }
+    }
+    for (const SweepAxis& axis : out->sweep) {
+      for (const JsonValue& value : axis.values) {
+        RejectReplicasWithoutCluster(axis.key, value, file_label + "/sweep", err);
+      }
+    }
   }
   // The oracle's record/replay protocol lives inside single-machine
   // RunExperiment (src/core/experiment.cc); the cluster runner builds its own

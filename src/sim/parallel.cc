@@ -208,7 +208,6 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
   const int n = size();
   std::atomic<bool> abort_flag{false};
   bool stop_unhealthy = false;
-  SimTime cursor = global_now_;
   for (;;) {
     if (!options.live()) {
       break;
@@ -225,11 +224,7 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
     if (coord_time >= options.time_limit) {
       break;  // endgame (including the one-past-the-limit event) is merged
     }
-    SimTime window_end = coord_time;
-    if (options.max_window > 0 && cursor + options.max_window < window_end) {
-      window_end = cursor + options.max_window;  // heartbeat boundary
-    }
-    // Pump every domain through its events with t <= window_end. Each domain
+    // Pump every domain through its events with t <= coord_time. Each domain
     // is claimed by exactly one worker, so no engine is ever shared.
     std::atomic<int> next_domain{0};
     pool_->Dispatch([&](int) {
@@ -237,7 +232,7 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
       while ((d = next_domain.fetch_add(1, std::memory_order_relaxed)) < n) {
         Engine& engine = *domains_[static_cast<size_t>(d)];
         int until_check = kAbortCheckStride;
-        while (engine.NextEventTime() <= window_end) {
+        while (engine.NextEventTime() <= coord_time) {
           if (--until_check <= 0) {
             until_check = kAbortCheckStride;
             if (abort_flag.load(std::memory_order_relaxed)) {
@@ -261,10 +256,6 @@ DomainGroup::RunResult DomainGroup::RunWindowed(const RunOptions& options) {
       }
       result.aborted = true;
       return result;
-    }
-    cursor = window_end;
-    if (window_end < coord_time) {
-      continue;  // heartbeat only: no clocks to commit, no event to fire
     }
     // Commit the window, then drain the instant `coord_time` in canonical
     // order. Every domain pumped through coord_time, so AdvanceTo is exact,

@@ -27,9 +27,8 @@
 //    timestamp (the group's lower bound on cross-domain time, LBTS) is a
 //    safe window every domain executes independently. A worker pool pumps
 //    domains concurrently, a barrier commits the window, the coordinator
-//    event fires, and the cycle repeats. An optional lookahead cap bounds
-//    window length (a null-message-style heartbeat) so wall-clock abort
-//    polling stays responsive across long arrival gaps. Once the
+//    event fires, and the cycle repeats. Workers poll wall-clock abort
+//    inside a window, so long arrival gaps need no heartbeat. Once the
 //    coordinator queue drains (or the next coordinator event lies past the
 //    time limit) the run finishes on the merged loop, which alone evaluates
 //    the liveness predicate exactly per event.
@@ -46,7 +45,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -54,8 +52,8 @@
 
 namespace nestsim {
 
-// Execution knobs, carried by ExperimentConfig as `config.parallel` and set
-// from scenario files via the parallel.* override keys (docs/SCENARIOS.md).
+// Execution knob, carried by ExperimentConfig as `config.parallel` and set
+// from scenario files via the parallel.workers key (docs/SCENARIOS.md).
 // Parallel execution is invisible in every result: goldens recorded at
 // workers = 0 must verify at any worker count.
 struct ParallelParams {
@@ -63,16 +61,6 @@ struct ParallelParams {
   // the calling thread. >0 spawns that many threads (a single-domain or
   // lockstep run executes wholesale on one pool thread instead).
   int workers = 0;
-
-  // "auto" | "window" | "lockstep". Auto picks the windowed executor and
-  // falls back to lockstep when windowing is unsafe (replicas > 1); "window"
-  // falls back the same way; "lockstep" always runs the merged loop.
-  std::string sync = "auto";
-
-  // Caps the conservative window length, in simulated microseconds; 0 keeps
-  // windows uncapped (they span the whole gap to the next coordinator
-  // event). Purely an execution knob: any cap yields identical results.
-  double lookahead_us = 0.0;
 };
 
 // N domain Engines plus one coordinator Engine, executed as one simulation.
@@ -113,9 +101,6 @@ class DomainGroup {
 
     // Force the merged loop even when workers > 0 (zero-lookahead feedback).
     bool lockstep = false;
-
-    // Window-length cap (ParallelParams::lookahead_us, converted); 0 = none.
-    SimDuration max_window = 0;
 
     // Loop predicate, required: keep running while it returns true. The
     // merged loop evaluates it before every event; the windowed executor

@@ -1,5 +1,6 @@
 #include "src/workloads/nas.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -69,8 +70,9 @@ void NasWorkload::Setup(Kernel& kernel, Rng& rng) const {
     // Per-worker imbalance is fixed across iterations (domain decomposition),
     // plus the master participates as worker 0 in real OpenMP; we keep a
     // dedicated master for simplicity.
+    // A wide jitter can draw below zero; such a worker has no compute.
     const double worker_ms =
-        spec_.iter_compute_ms * (1.0 + wl_rng.NextNormal(0.0, spec_.jitter));
+        std::max(0.0, spec_.iter_compute_ms * (1.0 + wl_rng.NextNormal(0.0, spec_.jitter)));
     ProgramBuilder worker(spec_.kernel_name + "-worker");
     worker.Loop(spec_.iterations)
         .ComputeMs(worker_ms)

@@ -60,7 +60,8 @@ TEST(DifferentialTest, FullLoadNasIsCfsNestNeutral) {
 
 // Fault injection (docs/FAULTS.md) pre-draws its plan from the run seed, so
 // the serial and pooled passes must stay digest-identical even while cores
-// die, tasks evacuate, and replica quorums race to JOIN.
+// die and tasks evacuate. (Replica quorums are fleet-only; PdesDifferentialTest
+// covers them across worker counts on corpus/fuzz-fault-min.)
 TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
   const JsonValue spec = ParseSpec(R"({
     "name": "diff-faults",
@@ -76,9 +77,7 @@ TEST(DifferentialTest, FaultInjectionStaysDeterministicAcrossWorkerCounts) {
     "config": {
       "time_limit_s": 20,
       "fault.core_fail_rate_per_s": 40.0,
-      "fault.core_downtime_ms": 10.0,
-      "replicas": 2,
-      "fault.quorum": 1
+      "fault.core_downtime_ms": 10.0
     },
     "table": {"style": "none"}
   })");

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "src/cluster/router.h"
+#include "src/obs/json_check.h"
 #include "src/obs/sched_counters.h"
+#include "src/scenario/runner.h"
+#include "src/scenario/scenario.h"
 #include "src/workloads/requests.h"
 
 namespace nestsim {
@@ -298,6 +302,40 @@ TEST(ClusterFaultTest, ReplicaQuorumJoinsAndReapsTheLosers) {
   EXPECT_EQ(r.cluster.requests_completed, r.cluster.requests_offered);
   EXPECT_EQ(r.resilience.requests_failed, 0u);
   EXPECT_GT(r.resilience.wasted_replica_ms, 0.0);
+}
+
+// The scenario path to single-machine replication: a 1-machine passthrough
+// fleet, parsed and run like any scenario file.
+TEST(ClusterFaultTest, OneMachineFleetScenarioJoinsQuorums) {
+  JsonValue root;
+  std::string json_error;
+  ASSERT_TRUE(JsonParse(R"({
+    "name":"one-machine-replicas","machines":["amd-4650g-1s"],
+    "variants":[{"label":"cfs","scheduler":"cfs","governor":"schedutil"}],
+    "workload":{"family":"requests","params":{"rate_per_s":4000.0,"arrivals":"bursty",
+                                              "duration_s":0.1,"service_ms":1.0}},
+    "cluster":{"machines":1},
+    "repetitions":1,
+    "config":{"replicas":2,"fault.quorum":1}
+  })",
+                        &root, &json_error))
+      << json_error;
+  Scenario scenario;
+  ScenarioError err;
+  ASSERT_TRUE(ParseScenario(root, "one-machine-replicas", &scenario, &err)) << err.Join();
+  ScenarioRunOptions options;
+  options.campaign.jobs = 1;
+  options.campaign.progress = false;
+  options.campaign.jsonl_path.clear();
+  ScenarioRun run;
+  ASSERT_TRUE(ExpandScenario(scenario, options, &run, &err)) << err.Join();
+  ExecuteScenario(&run);
+  ASSERT_EQ(run.outcomes.size(), 1u);
+  ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].message;
+  const ExperimentResult& r = run.outcomes[0].result.runs.at(0);
+  EXPECT_EQ(r.cluster.num_machines, 1);
+  EXPECT_GT(r.counters.replica_quorum_joins, 0u);
+  EXPECT_GT(r.resilience.replicas_reaped, 0u);
 }
 
 TEST(RequestPlanTest, BurstyOffersMoreThanPoissonAtSameBaseRate) {

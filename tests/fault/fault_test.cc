@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "src/cfs/cfs_policy.h"
@@ -302,6 +303,14 @@ TEST(FaultRunTest, DefaultSpecIsByteIdenticalToNoFaults) {
   EXPECT_TRUE(a.counters == b.counters);
   EXPECT_EQ(a.counters.faults_injected, 0u);
   EXPECT_FALSE(a.resilience.any());
+}
+
+// Replication is the fleet runner's quorum: the single-machine runner must
+// refuse it rather than run the workload unreplicated.
+TEST(FaultRunTest, RunExperimentRejectsReplicas) {
+  ExperimentConfig config;
+  config.fault.replicas = 2;
+  EXPECT_THROW(RunExperiment(config, ConfigureWorkload(SmallBuild())), std::invalid_argument);
 }
 
 }  // namespace

@@ -159,6 +159,37 @@ TEST(BaselineTest, TamperedGoldenFieldFails) {
   EXPECT_TRUE(names_field) << (check.problems.empty() ? "" : check.problems[0]);
 }
 
+// The key sets must match both ways: a golden field the fresh record no
+// longer writes is drift too, not something to skip.
+TEST(BaselineTest, GoldenFieldTheFreshRecordLacksFails) {
+  const std::string dir = FreshDir("baseline_extra_field");
+  const ScenarioRun run = ExecutedSmokeRun();
+  std::string error;
+  ASSERT_TRUE(RecordBaseline(run, dir, &error)) << error;
+
+  const std::string path = BaselinePath(dir, "baseline_test");
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const size_t pos = text.find("\"makespan_ns\":");
+  ASSERT_NE(pos, std::string::npos);
+  text.insert(pos, "\"retired_field\":7,");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  const BaselineCheck check = CheckBaseline(run, dir);
+  EXPECT_FALSE(check.ok());
+  ASSERT_EQ(check.problems.size(), 1u);
+  EXPECT_NE(check.problems[0].find("runs[0].retired_field"), std::string::npos)
+      << check.problems[0];
+}
+
 TEST(BaselineTest, MissingBaselineFails) {
   const std::string dir = FreshDir("baseline_missing");
   const BaselineCheck check = CheckBaseline(ExecutedSmokeRun(), dir);

@@ -239,13 +239,20 @@ TEST(ScenarioParseTest, FaultAndPowerOverridesAreValidated) {
     "name":"t","workload":{"family":"nas"},
     "config":{"fault.core_fail_rate_per_s":20.0,"fault.core_downtime_ms":30.0,
               "fault.machine_fail_rate_per_s":1.0,"fault.machine_downtime_ms":50.0,
-              "fault.horizon_s":10.0,"replicas":2,"fault.quorum":1,
+              "fault.horizon_s":10.0,
               "power.headroom_fraction":0.9,"nest_budget.min_primary":2},
     "sweep":{"power.budget_w":[0.0,35.0,20.0]}
   })");
   EXPECT_TRUE(ok.has_config);
   ASSERT_EQ(ok.sweep.size(), 1u);
   EXPECT_EQ(ok.sweep[0].key, "power.budget_w");
+
+  // Replication is fleet-only: a one-machine passthrough fleet carries it.
+  const Scenario replicated = MustParse(R"({
+    "name":"t","workload":{"family":"requests"},"cluster":{"machines":1},
+    "config":{"replicas":2,"fault.quorum":1}
+  })");
+  EXPECT_TRUE(replicated.has_cluster);
 
   const ScenarioError rate = MustFail(R"({
     "name":"t","workload":{"family":"nas"},
@@ -345,6 +352,25 @@ TEST(ScenarioParseTest, ClusterRequiresTheRequestsFamily) {
   EXPECT_TRUE(Mentions(err, "configure")) << err.Join();
 }
 
+TEST(ScenarioParseTest, ReplicasWithoutAClusterNameTheirPath) {
+  // Config, variant config and sweep values each name their own JSON path;
+  // replicas 1 (off) stays legal anywhere.
+  const ScenarioError err = MustFail(R"({
+    "name":"t","workload":{"family":"requests"},
+    "variants":[{"label":"a","scheduler":"cfs","governor":"schedutil",
+                 "config":{"replicas":3}}],
+    "config":{"replicas":2},
+    "sweep":{"replicas":[1,2]}
+  })");
+  EXPECT_TRUE(Mentions(err, "test/config/replicas: \"replicas\" > 1 needs a \"cluster\" block"))
+      << err.Join();
+  EXPECT_TRUE(Mentions(err, "test/variants[0]/config/replicas")) << err.Join();
+  EXPECT_TRUE(Mentions(err, "test/sweep/replicas")) << err.Join();
+  EXPECT_EQ(err.errors.size(), 3u) << err.Join();
+
+  MustParse(R"({"name":"t","workload":{"family":"nas"},"config":{"replicas":1}})");
+}
+
 TEST(ScenarioParseTest, ApplyConfigOverrideTouchesTheConfig) {
   ExperimentConfig config;
   ScenarioError err;
@@ -380,13 +406,10 @@ TEST(ScenarioParseTest, ConfigOverrideKeysAreStable) {
     JsonValue text;
     text.type = JsonValue::Type::kString;
     // A governor name, so the domain-checked "governor" key applies too;
-    // the free-form string keys accept it like any other text. The PDES sync
-    // key only admits its own enum, so it gets a member of that set, and the
+    // the free-form string keys accept it like any other text. The
     // eagerly-loaded model path gets the committed model (resolved like a
     // scenario path, so it is found from the repo root and from build/).
-    text.string = key == "parallel.sync"        ? "lockstep"
-                  : key == "predict.model_file" ? "models/tiny-predict.json"
-                                                : "schedutil";
+    text.string = key == "predict.model_file" ? "models/tiny-predict.json" : "schedutil";
     const bool applied = ApplyConfigOverride(&config, key, num, "p", &err) ||
                          ApplyConfigOverride(&config, key, flag, "p", &err) ||
                          ApplyConfigOverride(&config, key, text, "p", &err);

@@ -1,6 +1,6 @@
 // DomainGroup (src/sim/parallel.h): the canonical (timestamp, domain id,
 // insertion seq) total order, merged-vs-windowed equivalence, and the
-// executor controls (lockstep, lookahead caps, abort, fail-fast).
+// executor controls (lockstep, abort, fail-fast).
 
 #include "src/sim/parallel.h"
 
@@ -54,7 +54,7 @@ TEST(EngineClockTest, AdvanceToMovesTheClockWithoutFiring) {
 using GroupBuilder = std::function<void(DomainGroup&, std::vector<std::string>&)>;
 
 std::vector<std::string> RunGroup(int domains, const GroupBuilder& build, int workers,
-                                  bool lockstep = false, SimDuration max_window = 0) {
+                                  bool lockstep = false) {
   DomainGroup group(domains);
   std::vector<std::string> log;
   build(group, log);
@@ -62,7 +62,6 @@ std::vector<std::string> RunGroup(int domains, const GroupBuilder& build, int wo
   options.time_limit = 1 * kSecond;
   options.workers = workers;
   options.lockstep = lockstep;
-  options.max_window = max_window;
   options.live = [] { return true; };
   DomainGroup::RunResult result = group.Run(options);
   EXPECT_FALSE(result.aborted);
@@ -267,7 +266,7 @@ TEST(DomainGroupTest, ExceptionInADomainEventPropagatesOutOfRun) {
 // The randomized property behind the acceptance bar: a pre-drawn traffic
 // plan (coordinator arrivals fanning service chains into random domains,
 // each chain rescheduling itself domain-locally) executed under every
-// combination of worker count, sync mode, and lookahead cap must produce
+// combination of worker count and lockstep mode must produce
 // the identical per-domain event history, final clock, and event count.
 TEST(DomainGroupPropertyTest, EveryExecutorProducesTheSerialHistory) {
   constexpr int kDomains = 4;
@@ -303,7 +302,7 @@ TEST(DomainGroupPropertyTest, EveryExecutorProducesTheSerialHistory) {
       SimTime end = 0;
       uint64_t events = 0;
     };
-    auto execute = [&plan](int workers, bool lockstep, SimDuration max_window) {
+    auto execute = [&plan](int workers, bool lockstep) {
       DomainGroup group(kDomains);
       History h;
       h.domain_log.resize(kDomains);
@@ -333,7 +332,6 @@ TEST(DomainGroupPropertyTest, EveryExecutorProducesTheSerialHistory) {
       options.time_limit = 10 * kSecond;
       options.workers = workers;
       options.lockstep = lockstep;
-      options.max_window = max_window;
       options.live = [] { return true; };
       group.Run(options);
       h.end = group.Now();
@@ -341,21 +339,15 @@ TEST(DomainGroupPropertyTest, EveryExecutorProducesTheSerialHistory) {
       return h;
     };
 
-    const History reference = execute(/*workers=*/0, /*lockstep=*/false, /*max_window=*/0);
+    const History reference = execute(/*workers=*/0, /*lockstep=*/false);
     ASSERT_GT(reference.events, 200u);
     for (const int workers : {1, 2, 4, 8}) {
       for (const bool lockstep : {false, true}) {
-        // 37 us sits below most arrival gaps (heartbeat-dominated windows);
-        // 700 us spans several chain steps per window.
-        for (const SimDuration max_window :
-             {SimDuration{0}, 37 * kMicrosecond, 700 * kMicrosecond}) {
-          const History h = execute(workers, lockstep, max_window);
-          EXPECT_EQ(h.domain_log, reference.domain_log)
-              << "seed " << seed << ", " << workers << " workers, lockstep " << lockstep
-              << ", max_window " << max_window;
-          EXPECT_EQ(h.end, reference.end) << "seed " << seed;
-          EXPECT_EQ(h.events, reference.events) << "seed " << seed;
-        }
+        const History h = execute(workers, lockstep);
+        EXPECT_EQ(h.domain_log, reference.domain_log)
+            << "seed " << seed << ", " << workers << " workers, lockstep " << lockstep;
+        EXPECT_EQ(h.end, reference.end) << "seed " << seed;
+        EXPECT_EQ(h.events, reference.events) << "seed " << seed;
       }
     }
   }

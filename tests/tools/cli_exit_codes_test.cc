@@ -227,6 +227,24 @@ TEST(NestsimRunCliTest, InvalidClusterKeyNamesTheJsonPath) {
   EXPECT_NE(result.output.find("roter"), std::string::npos) << result.output;
 }
 
+TEST(NestsimRunCliTest, ReplicasWithoutAClusterExitTwo) {
+  // Replication is fleet-only: without a "cluster" block the scenario must
+  // be rejected at parse time, naming the JSON path, not run unreplicated.
+  const std::string path = "/tmp/nestsim_cli_replicas_no_cluster.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs(R"({"name":"replicas-no-cluster","workload":{"family":"requests"},
+                 "config":{"replicas":2}})",
+             f);
+  std::fclose(f);
+  const CliResult result = RunCommand(kRun + " " + path);
+  std::remove(path.c_str());
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("/config/replicas"), std::string::npos)
+      << "diagnostic must name the JSON path:\n"
+      << result.output;
+}
+
 TEST(NestsimRunCliTest, PrintJobsLabelsClusterScenarios) {
   const std::string path = "/tmp/nestsim_cli_cluster_jobs.json";
   std::FILE* f = std::fopen(path.c_str(), "w");
