@@ -63,12 +63,16 @@ class RequestTracker : public KernelObserver {
     }
   }
 
+  // A dead task never runs again, so its entry goes at exit or kill: the map
+  // holds the machine's live copies, not every copy it ever ran.
   void OnTaskExit(SimTime now, const Task& task) override {
     const auto it = parts_by_tid_.find(task.tid);
     if (it != parts_by_tid_.end()) {
-      (*progress_)[it->second].exit = now;
+      const size_t copy = it->second;
+      parts_by_tid_.erase(it);
+      (*progress_)[copy].exit = now;
       if (exit_fn_) {
-        exit_fn_(it->second, now);
+        exit_fn_(copy, now);
       }
     }
   }
@@ -76,15 +80,20 @@ class RequestTracker : public KernelObserver {
   void OnFaultEvent(SimTime now, FaultEventKind kind, int cpu, const Task* task) override {
     (void)now;
     (void)cpu;
-    // Only fault kills mark a copy as lost; post-quorum reaping
-    // (kReplicaReaped) is the success path, not degradation.
-    if (kind != FaultEventKind::kTaskKilled || task == nullptr) {
+    if (task == nullptr ||
+        (kind != FaultEventKind::kTaskKilled && kind != FaultEventKind::kReplicaReaped)) {
       return;
     }
     const auto it = parts_by_tid_.find(task->tid);
-    if (it != parts_by_tid_.end()) {
+    if (it == parts_by_tid_.end()) {
+      return;
+    }
+    // Only fault kills mark a copy as lost; post-quorum reaping
+    // (kReplicaReaped) is the success path, not degradation.
+    if (kind == FaultEventKind::kTaskKilled) {
       (*progress_)[it->second].killed = true;
     }
+    parts_by_tid_.erase(it);
   }
 
  private:
@@ -168,8 +177,11 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
         alive[static_cast<size_t>(m)] = 0;
         Kernel& kernel = model.machine(m).kernel;
         kernel.NotifyFaultEvent(FaultEventKind::kMachineCrash, -1, nullptr);
-        for (const auto& task : kernel.tasks()) {
-          kernel.KillTask(task.get());
+        // By index over the tasks that exist now: a kill reschedules its CPU,
+        // which may fork. Reclaimed (null) slots are no-ops for KillTask.
+        const size_t count = kernel.tasks().size();
+        for (size_t i = 0; i < count; ++i) {
+          kernel.KillTask(kernel.tasks()[i]);
         }
       });
       injectors.back()->Arm();
@@ -179,9 +191,10 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
   // Replica-quorum bookkeeping (replicas > 1 only): when a part's quorum-th
   // copy exits, the losers are reaped in a same-time follow-up event (never
   // from inside the winner's exit path).
+  // A copy is held by tid: it may be reclaimed once it exits.
   struct CopyRef {
     Kernel* kernel = nullptr;
-    Task* task = nullptr;
+    int tid = 0;
   };
   std::vector<CopyRef> copy_refs;
   std::vector<int> part_exits;
@@ -205,8 +218,9 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
     group.ScheduleCoordinator(now, [&copy_refs, part, replicas] {
       for (int r = 0; r < replicas; ++r) {
         const CopyRef& ref = copy_refs[part * static_cast<size_t>(replicas) + static_cast<size_t>(r)];
-        if (ref.task != nullptr && ref.task->state != TaskState::kDead) {
-          ref.kernel->KillTask(ref.task, FaultEventKind::kReplicaReaped);
+        if (ref.kernel != nullptr) {
+          // KillTask ignores reclaimed (null) and already-dead copies.
+          ref.kernel->KillTask(ref.kernel->FindTask(ref.tid), FaultEventKind::kReplicaReaped);
         }
       }
     });
@@ -269,7 +283,7 @@ ExperimentResult RunClusterExperiment(const ClusterSpec& cluster, const Experime
       Task* task = model.machine(m).kernel.InjectTask(next.program, std::move(name), tag);
       trackers[static_cast<size_t>(m)]->Track(task->tid, copy);
       if (replicas > 1) {
-        copy_refs[copy] = CopyRef{&model.machine(m).kernel, task};
+        copy_refs[copy] = CopyRef{&model.machine(m).kernel, task->tid};
       }
     }
     stream_open = stream.Next(&next);

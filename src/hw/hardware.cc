@@ -1,6 +1,7 @@
 #include "src/hw/hardware.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -18,6 +19,7 @@ HardwareModel::HardwareModel(Engine* engine, const MachineSpec& spec)
       spec_(spec),
       topology_(spec.num_sockets, spec.physical_cores_per_socket, spec.threads_per_core),
       cores_(topology_.num_physical_cores()),
+      awake_((static_cast<size_t>(topology_.num_physical_cores()) + 63) / 64, ~uint64_t{0}),
       thread_busy_(topology_.num_cpus(), 0),
       socket_active_(topology_.num_sockets(), 0),
       turbo_memo_(topology_.num_sockets()),
@@ -43,8 +45,21 @@ void HardwareModel::Start() {
 
 void HardwareModel::PeriodicUpdate() {
   AccumulateEnergy();
-  for (int phys = 0; phys < topology_.num_physical_cores(); ++phys) {
-    UpdateCoreFreq(phys);
+  // Awake cores in ascending order, as a sweep over every core would visit
+  // them. A core that a callback wakes mid-sweep was just updated at this
+  // instant, so visiting it again would change nothing.
+  const int num_phys = topology_.num_physical_cores();
+  for (size_t word = 0; word < awake_.size(); ++word) {
+    for (uint64_t bits = awake_[word]; bits != 0; bits &= bits - 1) {
+      const int phys = static_cast<int>(word * 64) + std::countr_zero(bits);
+      if (phys >= num_phys) {
+        break;
+      }
+      UpdateCoreFreq(phys);
+      if (Settled(cores_[phys])) {
+        awake_[word] &= ~(uint64_t{1} << (phys % 64));
+      }
+    }
   }
   engine_->ScheduleAfter(spec_.freq_update_period, [this] { PeriodicUpdate(); });
 }
@@ -129,9 +144,36 @@ double HardwareModel::TargetGhz(int phys) const {
   return target;
 }
 
+void HardwareModel::FoldActivity(CoreState& core, double elapsed_ms) {
+  double decay;
+  if (elapsed_ms == ema_memo_ms_) {
+    decay = ema_memo_decay_;
+  } else {
+    const double dt = elapsed_ms * static_cast<double>(kMillisecond);
+    decay = std::exp2(-dt / static_cast<double>(spec_.activity_halflife));
+    ema_memo_ms_ = elapsed_ms;
+    ema_memo_decay_ = decay;
+  }
+  const double busy_now = core.busy_threads > 0 ? 1.0 : 0.0;
+  core.activity_ema = core.activity_ema * decay + busy_now * (1.0 - decay);
+}
+
 void HardwareModel::UpdateCoreFreq(int phys) {
   CoreState& core = cores_[phys];
   const SimTime now = engine_->Now();
+  if (!Awake(phys)) {
+    // Replay the sweeps skipped since the core settled: each decayed the
+    // idle EMA by one whole period (none once it reached 0) and moved
+    // last_freq_update to its instant.
+    awake_[phys / 64] |= uint64_t{1} << (phys % 64);
+    const SimDuration period = spec_.freq_update_period;
+    const int64_t skipped = (now - core.last_freq_update) / period;
+    const double period_ms = ToMilliseconds(period);
+    for (int64_t i = 0; i < skipped && core.activity_ema != 0.0; ++i) {
+      FoldActivity(core, period_ms);
+    }
+    core.last_freq_update += skipped * period;
+  }
   const double elapsed_ms = ToMilliseconds(now - core.last_freq_update);
   core.last_freq_update = now;
   if (elapsed_ms <= 0.0) {
@@ -147,19 +189,7 @@ void HardwareModel::UpdateCoreFreq(int phys) {
     return;
   }
   // Fold the elapsed interval into the C0-residency EMA before targeting.
-  {
-    double decay;
-    if (elapsed_ms == ema_memo_ms_) {
-      decay = ema_memo_decay_;
-    } else {
-      const double dt = elapsed_ms * static_cast<double>(kMillisecond);
-      decay = std::exp2(-dt / static_cast<double>(spec_.activity_halflife));
-      ema_memo_ms_ = elapsed_ms;
-      ema_memo_decay_ = decay;
-    }
-    const double busy_now = core.busy_threads > 0 ? 1.0 : 0.0;
-    core.activity_ema = core.activity_ema * decay + busy_now * (1.0 - decay);
-  }
+  FoldActivity(core, elapsed_ms);
   const double target = TargetGhz(phys);
   const double old = core.freq_ghz;
   // Downward moves are asymmetric: busy cores barely downshift (the PCU holds

@@ -12,6 +12,7 @@
 #ifndef NESTSIM_SRC_HW_HARDWARE_H_
 #define NESTSIM_SRC_HW_HARDWARE_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -142,10 +143,22 @@ class HardwareModel {
   };
 
   // Moves one core's frequency toward its current target, given the elapsed
-  // time since its last update. Fires speed-change callbacks on change.
+  // time since its last update. Fires speed-change callbacks on change. A
+  // settled core first replays the periodic sweeps it skipped.
   void UpdateCoreFreq(int phys);
+  // Folds `elapsed_ms` of the core's current busy state into its activity
+  // EMA; the one expression both the update and the replay use.
+  void FoldActivity(CoreState& core, double elapsed_ms);
   double TargetGhz(int phys) const;
   void PeriodicUpdate();
+  // Long idle, at the floor frequency: every later sweep would only decay
+  // its activity EMA by one period (the target stays at the floor, and no
+  // callback fires) until SetThreadBusy or KickCpu touches it again.
+  bool Settled(const CoreState& core) const {
+    return core.busy_threads == 0 && core.freq_ghz == spec_.min_freq_ghz &&
+           engine_->Now() - core.idle_since >= spec_.idle_decay_delay;
+  }
+  bool Awake(int phys) const { return (awake_[phys / 64] >> (phys % 64)) & 1; }
   void NotifySpeedChange(int phys);
   void NotifyFreqChange(int phys);
   int CountTurboLicenses(int socket) const;   // slow path; fills turbo_memo_
@@ -171,6 +184,11 @@ class HardwareModel {
   FreqChangeFn freq_change_fn_;
 
   std::vector<CoreState> cores_;      // indexed by physical core
+  // Bitset of the physical cores the periodic sweep visits: all but the
+  // settled ones. A core leaves at the sweep where it settles, with its
+  // last_freq_update on that sweep's instant, and rejoins at its next
+  // UpdateCoreFreq, which replays the skipped sweeps first.
+  std::vector<uint64_t> awake_;
   std::vector<char> thread_busy_;     // indexed by logical cpu
   std::vector<int> socket_active_;    // active physical cores per socket
 

@@ -63,6 +63,9 @@ void Kernel::Start() {
 // ---------------------------------------------------------------------------
 
 Task* Kernel::NewTask(ProgramPtr program, std::string name, int tag, Task* parent) {
+  if (!buried_.empty()) {
+    ReclaimBuried();
+  }
   auto task = std::make_unique<Task>();
   task->tid = next_tid_++;
   task->name = std::move(name);
@@ -74,9 +77,7 @@ Task* Kernel::NewTask(ProgramPtr program, std::string name, int tag, Task* paren
   if (cache_tracking_) {
     task->llc_warmth.resize(static_cast<size_t>(topology().num_sockets()));
   }
-  Task* raw = task.get();
-  tasks_.push_back(std::move(task));
-  task_enqueue_time_.push_back(0);
+  Task* raw = tasks_.Add(std::move(task));
   ++live_tasks_;
   ++runnable_tasks_;
   if (parent != nullptr) {
@@ -187,9 +188,11 @@ void Kernel::PlaceTask(Task* task, int cpu, bool is_fork) {
     obs->OnTaskPlaced(engine_->Now(), *task, cpu, is_fork);
   }
   const bool wakeup = !is_fork;
-  engine_->ScheduleAfter(params_.placement_latency, [this, task, cpu, wakeup] {
-    if (task->state == TaskState::kPlacing) {
-      EnqueueTask(task, cpu, wakeup);
+  // By tid: a task killed in flight may be reclaimed before this fires.
+  engine_->ScheduleAfter(params_.placement_latency, [this, tid = task->tid, cpu, wakeup] {
+    Task* placed = FindTask(tid);
+    if (placed != nullptr && placed->state == TaskState::kPlacing) {
+      EnqueueTask(placed, cpu, wakeup);
     }
   });
 }
@@ -205,7 +208,7 @@ void Kernel::EnqueueTask(Task* task, int cpu, bool wakeup) {
 
   task->cpu = cpu;
   task->state = TaskState::kRunnable;
-  task_enqueue_time_[task->tid - 1] = engine_->Now();
+  task->enqueued_at = engine_->Now();
 
   // vruntime placement: the task's vruntime is stored *relative* to its old
   // queue (normalised at dequeue); re-base it here. Woken sleepers get a
@@ -300,19 +303,43 @@ void Kernel::ExitCurrent(int cpu) {
   }
   NotifyContextSwitch(cpu, task, nullptr);
 
-  Task* parent = task->parent;
-  if (parent != nullptr) {
-    --parent->live_children;
-    if (parent->live_children <= parent->join_threshold &&
-        parent->state == TaskState::kBlocked && parent->block_reason == BlockReason::kJoin) {
-      WakeTask(parent, /*waker_cpu=*/cpu, /*sync=*/true);
-    }
-  }
+  ReleaseParent(task, /*waker_cpu=*/cpu, /*sync=*/true);
+  BuryIfUnreachable(task);
 
   ScheduleCpu(cpu);
   // Nest demotes a core whose task terminated leaving it idle (§3.1). The
   // hook runs after rescheduling so the policy sees the post-exit state.
   policy_->OnTaskExit(*task, cpu);
+}
+
+void Kernel::ReleaseParent(Task* task, int waker_cpu, bool sync) {
+  Task* parent = task->parent;
+  if (parent == nullptr) {
+    return;
+  }
+  --parent->live_children;
+  if (parent->live_children <= parent->join_threshold &&
+      parent->state == TaskState::kBlocked && parent->block_reason == BlockReason::kJoin) {
+    WakeTask(parent, waker_cpu, sync);
+  }
+  BuryIfUnreachable(parent);
+}
+
+void Kernel::BuryIfUnreachable(Task* task) {
+  if (task->state == TaskState::kDead && task->live_children == 0) {
+    buried_.push_back({task->tid, engine_->events_fired()});
+  }
+}
+
+void Kernel::ReclaimBuried() {
+  // Burials are in event order; free those from events that have finished.
+  const uint64_t current = engine_->events_fired();
+  size_t freed = 0;
+  while (freed < buried_.size() && buried_[freed].event < current) {
+    tasks_.Reclaim(static_cast<size_t>(buried_[freed].tid) - 1);
+    ++freed;
+  }
+  buried_.erase(buried_.begin(), buried_.begin() + static_cast<std::ptrdiff_t>(freed));
 }
 
 // ---------------------------------------------------------------------------
@@ -349,7 +376,7 @@ void Kernel::StartRunning(Task* task, int cpu) {
   // from the busy transition below) can call UpdateCurr on this task.
   task->seg_start = now;
   task->seg_speed_ghz = 0.0;
-  task->total_wait += now - task_enqueue_time_[task->tid - 1];
+  task->total_wait += now - task->enqueued_at;
   if (task->prev_cpu >= 0 && topology().PhysCoreOf(task->prev_cpu) != topology().PhysCoreOf(cpu)) {
     ++task->migrations;
     ++migrations_;
@@ -432,7 +459,7 @@ void Kernel::StopRunning(int cpu, bool requeue) {
   cs.rq.set_curr(nullptr);
   task->state = TaskState::kRunnable;
   if (requeue) {
-    task_enqueue_time_[task->tid - 1] = engine_->Now();
+    task->enqueued_at = engine_->Now();
     cs.rq.Enqueue(task);
   }
   UpdateCpuMasks(cpu);
@@ -630,11 +657,15 @@ void Kernel::InterpretOps(int cpu, Task* task) {
       case OpKind::kSleep: {
         ++task->pc;
         const SimDuration d = op.duration;
-        // Timer wakeups fire on the CPU that armed the timer.
+        // Timer wakeups fire on the CPU that armed the timer. By tid: a task
+        // killed while asleep may be reclaimed before the timer fires.
         const int timer_cpu = cpu;
         BlockCurrent(cpu, BlockReason::kSleep);
-        engine_->ScheduleAfter(
-            d, [this, task, timer_cpu] { WakeTask(task, timer_cpu, /*sync=*/false); });
+        engine_->ScheduleAfter(d, [this, tid = task->tid, timer_cpu] {
+          if (Task* sleeper = FindTask(tid)) {
+            WakeTask(sleeper, timer_cpu, /*sync=*/false);
+          }
+        });
         return;
       }
       case OpKind::kFork:
@@ -831,7 +862,7 @@ Task* Kernel::FindStealableTask(int dst_cpu, bool same_die_only, bool ignore_hot
     const std::vector<Task*> queued = src.QueuedTasks();
     for (auto it = queued.rbegin(); it != queued.rend(); ++it) {
       if (ignore_hotness ||
-          now - task_enqueue_time_[(*it)->tid - 1] >= params_.steal_min_wait) {
+          now - (*it)->enqueued_at >= params_.steal_min_wait) {
         candidate = *it;
         break;
       }
@@ -869,7 +900,7 @@ void Kernel::MigrateQueued(Task* task, int dst_cpu, MigrationReason reason) {
   task->cpu = dst_cpu;
   task->vruntime = dst.min_vruntime() + std::max(task->vruntime, 0.0);
   dst.Enqueue(task);
-  task_enqueue_time_[task->tid - 1] = engine_->Now();
+  task->enqueued_at = engine_->Now();
   UpdateCpuMasks(dst_cpu);
   ++migrations_;
   ++task->migrations;
@@ -1060,8 +1091,9 @@ void Kernel::KillTask(Task* task, FaultEventKind kind) {
       break;
     }
     case TaskState::kPlacing:
-      // The delayed enqueue checks state == kPlacing, so marking the task
-      // dead cancels it; any §3.4 claim it holds simply times out.
+      // The delayed enqueue looks the task up by tid and checks state ==
+      // kPlacing, so marking the task dead (or reclaiming it) cancels it;
+      // any §3.4 claim it holds simply times out.
       --runnable_tasks_;
       break;
     case TaskState::kBlocked:
@@ -1075,14 +1107,8 @@ void Kernel::KillTask(Task* task, FaultEventKind kind) {
   // Deliberately no OnTaskExit: killed work must not count as completed.
   NotifyFaultEvent(kind, cpu, task);
 
-  Task* parent = task->parent;
-  if (parent != nullptr) {
-    --parent->live_children;
-    if (parent->live_children <= parent->join_threshold &&
-        parent->state == TaskState::kBlocked && parent->block_reason == BlockReason::kJoin) {
-      WakeTask(parent, /*waker_cpu=*/FallbackOnlineCpu(), /*sync=*/false);
-    }
-  }
+  ReleaseParent(task, /*waker_cpu=*/FallbackOnlineCpu(), /*sync=*/false);
+  BuryIfUnreachable(task);
   if (was_running) {
     ScheduleCpu(cpu);
     policy_->OnTaskExit(*task, cpu);
@@ -1102,16 +1128,6 @@ double Kernel::GovernorRequestGhz(int cpu) {
     util = std::max(util, rq.curr()->util.ValueAt(engine_->Now()));
   }
   return governor_->RequestGhzOn(hw_->spec(), std::min(1.0, util), cpu);
-}
-
-int Kernel::live_tasks_for_tag(int tag) const {
-  int count = 0;
-  for (const auto& task : tasks_) {
-    if (task->tag == tag && task->state != TaskState::kDead) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 void Kernel::NotifyContextSwitch(int cpu, const Task* prev, const Task* next) {

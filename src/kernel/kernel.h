@@ -29,6 +29,7 @@
 #include "src/kernel/run_queue.h"
 #include "src/kernel/sync.h"
 #include "src/kernel/task.h"
+#include "src/kernel/task_table.h"
 #include "src/sim/engine.h"
 
 namespace nestsim {
@@ -145,7 +146,7 @@ class Kernel {
   // OnTaskExit observer fires (killed work must not count as completed), but
   // parents are still un-blocked and sync wait lists cleaned. `kind` is the
   // fault event emitted (kTaskKilled for failures, kReplicaReaped for
-  // post-quorum reaping). No-op on already-dead tasks.
+  // post-quorum reaping). No-op on already-dead and reclaimed (null) tasks.
   void KillTask(Task* task, FaultEventKind kind = FaultEventKind::kTaskKilled);
 
   // Forwards a fault transition to the observers. Public because the fault
@@ -209,11 +210,17 @@ class Kernel {
 
   int root_cpu() const { return root_cpu_; }
   int live_tasks() const { return live_tasks_; }
-  int live_tasks_for_tag(int tag) const;
   uint64_t context_switches() const { return context_switches_; }
   uint64_t total_migrations() const { return migrations_; }
 
-  const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
+  // Every task ever created, indexed by tid - 1, so size() counts them all.
+  // A null slot means the task was reclaimed: it died (exited or was
+  // killed), its last child died too, and an event after that one created a
+  // task. Iterate with a null check; hold a tid, not a Task*, across events.
+  const TaskTable& tasks() const { return tasks_; }
+
+  // The task with `tid`, or nullptr once it has been reclaimed.
+  Task* FindTask(int tid) const { return tasks_[static_cast<size_t>(tid) - 1]; }
 
   // Registers an observer. Its InterestMask() is read here (once) to build
   // the per-event dispatch lists; notification order within an event follows
@@ -266,6 +273,16 @@ class Kernel {
   void EnqueueTask(Task* task, int cpu, bool wakeup);
   void BlockCurrent(int cpu, BlockReason reason);
   void ExitCurrent(int cpu);
+  // Marks a dead task for reclamation once nothing can reach it: it has no
+  // live children (only children point at their parent). The task is freed
+  // by the first NewTask of a later event, never while a frame of the event
+  // that buried it may still hold it (ExitCurrent runs the policy's exit hook
+  // after rescheduling the CPU).
+  void BuryIfUnreachable(Task* task);
+  void ReclaimBuried();
+  // Un-parents a dead task: its parent loses a live child, is woken if it
+  // was joining on that count, and is buried if it is dead too.
+  void ReleaseParent(Task* task, int waker_cpu, bool sync);
 
   // -- CPU scheduling --
   void ScheduleCpu(int cpu);           // pick next / go idle
@@ -335,13 +352,18 @@ class Kernel {
   SyncRegistry sync_;
 
   std::vector<CpuState> cpus_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  TaskTable tasks_;
+  // Buried tasks, in burial order, with the engine event that buried them.
+  struct Burial {
+    int tid;
+    uint64_t event;
+  };
+  std::vector<Burial> buried_;
   std::vector<KernelObserver*> observers_;
   // Per-event dispatch lists, indexed by ObserverEvent bit position.
   std::array<std::vector<KernelObserver*>, kNumObserverEvents> dispatch_;
   CpuMask overloaded_cpus_;  // cpus with queued (waiting) tasks
   CpuMask idle_cpus_;        // cpus with nothing running or queued
-  std::vector<SimTime> task_enqueue_time_;  // by tid; for steal_min_wait
 
   int next_tid_ = 1;
   bool cache_tracking_ = false;  // params_.cache.enabled() || policy wants it

@@ -17,7 +17,5 @@ DecayMsTable::DecayMsTable() {
 
 const DecayMsTable kDecayMsTable;
 
-thread_local constinit SharedDecayMemo tls_decay_memo;
-
 }  // namespace pelt_detail
 }  // namespace nestsim

@@ -40,12 +40,14 @@ extern const DecayMsTable kDecayMsTable;
 // After a placement scan updates every CPU's utilisation at one instant, they
 // all share last_update, so the next scan decays them all by the same dt:
 // one exp2 serves the whole machine. thread_local because PDES workers run
-// machines on different threads; constinit so reads need no init guard.
+// machines on different threads; constinit so reads need no init guard;
+// inline so every translation unit sees the definition (an extern
+// declaration sends each access through a TLS wrapper that UBSan flags).
 struct SharedDecayMemo {
   SimDuration dt = 0;
   double factor = 1.0;
 };
-extern thread_local constinit SharedDecayMemo tls_decay_memo;
+inline thread_local constinit SharedDecayMemo tls_decay_memo;
 
 }  // namespace pelt_detail
 

@@ -101,16 +101,26 @@ ProgramBuilder& ProgramBuilder::Exit() {
   return *this;
 }
 
-ProgramPtr ProgramBuilder::Build() {
+void ProgramBuilder::CheckBalanced() const {
   if (open_loops_ != 0) {
     std::fprintf(stderr, "nestsim: unbalanced Loop in program '%s'\n", name_.c_str());
     std::abort();
   }
+}
+
+ProgramPtr ProgramBuilder::Build() const& {
+  CheckBalanced();
   // Snapshot, not move: a builder stays usable, so callers can Build() the
   // same program for several tasks.
   auto program = std::make_shared<Program>();
-  program->name = name_;
   program->ops = ops_;
+  return program;
+}
+
+ProgramPtr ProgramBuilder::Build() && {
+  CheckBalanced();
+  auto program = std::make_shared<Program>();
+  program->ops = std::move(ops_);
   return program;
 }
 

@@ -139,6 +139,7 @@ struct Task {
   double seg_speed_ghz = 0.0;
   EventId completion_event = kInvalidEventId;
   SimTime sched_in_time = 0;  // when this task last got the CPU
+  SimTime enqueued_at = 0;    // last (re)enqueue; wait time and steal hotness
 
   // Statistics.
   SimTime created_at = 0;

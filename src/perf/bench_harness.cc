@@ -62,24 +62,29 @@ const BenchRecord* BenchReport::Find(const std::string& name) const {
 }
 
 void BenchReport::PrintTable(FILE* out) const {
-  std::fprintf(out, "%-36s %14s %14s %14s %8s\n", "benchmark", "ops", "ns/op", "ops/sec",
-               "samples");
+  std::fprintf(out, "%-36s %14s %14s %14s %8s %10s\n", "benchmark", "ops", "ns/op", "ops/sec",
+               "samples", "peak MB");
   for (const BenchRecord& r : records_) {
-    std::fprintf(out, "%-36s %14llu %14.1f %14.0f %8d\n", r.name.c_str(),
+    std::fprintf(out, "%-36s %14llu %14.1f %14.0f %8d", r.name.c_str(),
                  static_cast<unsigned long long>(r.ops), r.ns_per_op, r.ops_per_sec, r.samples);
+    if (r.peak_rss_mb > 0.0) {
+      std::fprintf(out, " %10.1f", r.peak_rss_mb);
+    }
+    std::fputc('\n', out);
   }
 }
 
 std::string BenchReport::ToJson(const std::string& mode,
                                 const std::string& reference_json) const {
-  // Reference ops/sec by record name, when a prior report was supplied.
+  // A reference record's numeric `field`, by record name, when a prior
+  // report was supplied.
   JsonValue reference;
   bool have_reference = false;
   if (!reference_json.empty()) {
     std::string error;
     have_reference = JsonParse(reference_json, &reference, &error);
   }
-  auto reference_ops_per_sec = [&](const std::string& name) -> const JsonValue* {
+  auto reference_field = [&](const std::string& name, const char* field) -> const JsonValue* {
     if (!have_reference) {
       return nullptr;
     }
@@ -90,8 +95,8 @@ std::string BenchReport::ToJson(const std::string& mode,
     for (const JsonValue& r : records->items) {
       const JsonValue* rname = r.Find("name");
       if (rname != nullptr && rname->is_string() && rname->string == name) {
-        const JsonValue* ops = r.Find("ops_per_sec");
-        return ops != nullptr && ops->is_number() ? ops : nullptr;
+        const JsonValue* value = r.Find(field);
+        return value != nullptr && value->is_number() ? value : nullptr;
       }
     }
     return nullptr;
@@ -117,10 +122,19 @@ std::string BenchReport::ToJson(const std::string& mode,
     out += BenchFormatDouble(r.ns_per_op);
     out += ",\"ops_per_sec\":";
     out += BenchFormatDouble(r.ops_per_sec);
-    if (const JsonValue* ref = reference_ops_per_sec(r.name);
+    if (const JsonValue* ref = reference_field(r.name, "ops_per_sec");
         ref != nullptr && ref->number > 0.0) {
       out += ",\"speedup_vs_reference\":";
       out += BenchFormatDouble(r.ops_per_sec / ref->number);
+    }
+    if (r.peak_rss_mb > 0.0) {
+      out += ",\"peak_rss_mb\":";
+      out += BenchFormatDouble(r.peak_rss_mb);
+      if (const JsonValue* ref = reference_field(r.name, "peak_rss_mb");
+          ref != nullptr && ref->number > 0.0) {
+        out += ",\"rss_vs_reference\":";
+        out += BenchFormatDouble(r.peak_rss_mb / ref->number);
+      }
     }
     out += '}';
   }

@@ -28,6 +28,7 @@ struct BenchRecord {
   double median_s = 0.0;  // wall seconds of the median sample
   double ns_per_op = 0.0;
   double ops_per_sec = 0.0;
+  double peak_rss_mb = 0.0;  // mem/ records: peak resident memory; 0 = none
 };
 
 struct BenchOptions {
@@ -56,6 +57,8 @@ class BenchReport {
   // report's JSON, parsed or not) is non-empty it is embedded verbatim under
   // "reference" and each record that also appears there gets a
   // "speedup_vs_reference" field (this ops_per_sec / reference ops_per_sec).
+  // Records with a peak_rss_mb carry it, and "rss_vs_reference" (this peak /
+  // the reference's) when the reference record has one too.
   std::string ToJson(const std::string& mode, const std::string& reference_json) const;
 
  private:

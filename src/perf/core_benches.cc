@@ -1,6 +1,12 @@
 #include "src/perf/core_benches.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -284,7 +290,124 @@ std::string FileStem(const std::string& file) {
   return stem;
 }
 
+// What a mem/ child reports back to the parent through its pipe.
+struct MemSample {
+  uint64_t events = 0;
+  double wall_s = 0.0;
+  double peak_rss_mb = 0.0;
+};
+
+// This process's peak resident set (VmHWM), in MB; 0 when unreadable.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  return 0.0;
+}
+
+// The scale256 shape (one intel-8153-8s, Poisson 6400 req/s of 4 ms median
+// service: 10 % of 256 CPUs, CFS then Nest, seed 1) for `seconds` simulated,
+// run serially the way nestsim_run runs a scenario file. Returns false, with
+// a message on stderr, when the scenario does not expand or a job fails.
+bool RunScale256(int seconds, MemSample* sample) {
+  const std::string text =
+      R"({"name": "mem_scale256", "machines": ["intel-8153-8s"],
+          "variants": [{"label": "CFS", "scheduler": "cfs", "governor": "schedutil"},
+                       {"label": "Nest", "scheduler": "nest", "governor": "schedutil"}],
+          "workload": {"family": "requests", "rows": [{"label": "poisson-10pct",
+            "params": {"rate_per_s": 6400, "arrivals": "poisson", "service_ms": 4.0,
+                       "duration_s": )" +
+      std::to_string(seconds) + R"(}}]}, "repetitions": 1, "base_seed": 1})";
+  JsonValue root;
+  Scenario scenario;
+  ScenarioError err;
+  ScenarioRunOptions ropts;
+  ropts.campaign.jobs = 1;
+  ropts.campaign.progress = false;
+  ropts.campaign.jsonl_path.clear();
+  ScenarioRun run;
+  if (!JsonParse(text, &root) || !ParseScenario(root, "mem_scale256", &scenario, &err) ||
+      !ExpandScenario(scenario, ropts, &run, &err)) {
+    std::fprintf(stderr, "nestsim_bench: mem scenario: %s\n", err.Join().c_str());
+    return false;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ExecuteScenario(&run);
+  sample->wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  for (const JobOutcome& outcome : run.outcomes) {
+    if (!outcome.ok()) {
+      std::fprintf(stderr, "nestsim_bench: a mem/scale256 job failed\n");
+      return false;
+    }
+    for (const ExperimentResult& r : outcome.result.runs) {
+      sample->events += r.events_fired;
+    }
+  }
+  sample->peak_rss_mb = PeakRssMb();
+  return true;
+}
+
+// Runs RunScale256 in a forked child, so the peak is that run's alone: a
+// child's VmHWM starts from its resident set at the fork, not from the
+// parent's own peak.
+bool MeasureScale256InChild(int seconds, MemSample* sample) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("nestsim_bench: pipe");
+    return false;
+  }
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("nestsim_bench: fork");
+    close(fds[0]);
+    close(fds[1]);
+    return false;
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    MemSample measured;
+    const bool ok = RunScale256(seconds, &measured) &&
+                    write(fds[1], &measured, sizeof(measured)) ==
+                        static_cast<ssize_t>(sizeof(measured));
+    _exit(ok ? 0 : 1);
+  }
+  close(fds[1]);
+  const bool got = read(fds[0], sample, sizeof(*sample)) == static_cast<ssize_t>(sizeof(*sample));
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return got && WIFEXITED(status) && WEXITSTATUS(status) == 0 && sample->peak_rss_mb > 0.0;
+}
+
 }  // namespace
+
+bool RunMemBenches(BenchReport* report) {
+  for (const int seconds : {4, 64}) {
+    MemSample sample;
+    if (!MeasureScale256InChild(seconds, &sample)) {
+      std::fprintf(stderr, "nestsim_bench: mem/scale256@%ds failed\n", seconds);
+      return false;
+    }
+    BenchRecord record;
+    record.name = "mem/scale256@" + std::to_string(seconds) + "s";
+    record.ops = sample.events;
+    record.samples = 1;
+    record.median_s = sample.wall_s;
+    if (sample.wall_s > 0.0 && sample.events > 0) {
+      record.ns_per_op = sample.wall_s * 1e9 / static_cast<double>(sample.events);
+      record.ops_per_sec = static_cast<double>(sample.events) / sample.wall_s;
+    }
+    record.peak_rss_mb = sample.peak_rss_mb;
+    report->Add(std::move(record));
+  }
+  return true;
+}
 
 void RunMicroBenches(const CoreBenchOptions& options, BenchReport* report) {
   BenchOptions bench;

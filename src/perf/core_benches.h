@@ -47,6 +47,14 @@ bool RunGridBench(const std::string& scenario_file, const CoreBenchOptions& opti
 bool RunScalingBench(const std::string& scenario_file, const std::vector<int>& workers,
                      const CoreBenchOptions& options, BenchReport* report);
 
+// mem/scale256@{4,64}s: the peak resident memory (VmHWM) of a forked child
+// that runs the scale256 shape — one intel-8153-8s, Poisson 6400 req/s of
+// 4 ms median service, CFS then Nest — for 4 s and for 64 s simulated. The
+// two peaks stay close when memory is bounded in simulated duration. Each
+// record also carries the child's fired events and wall time. Returns false,
+// with a message on stderr, when a child fails.
+bool RunMemBenches(BenchReport* report);
+
 // The regression gate for CI: `floor_json` is baselines/perf_floor.json.
 // Every floored benchmark must be present in `report` with ops_per_sec no
 // more than max_regression_pct below its floor, and every "A / B" entry of

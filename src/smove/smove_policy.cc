@@ -22,11 +22,12 @@ int SmovePolicy::MaybePark(Task& task, int cfs_choice, int fast_cpu) {
   // Park on the fast core and arm the fallback timer.
   task.placement_path = PlacementPath::kSmoveParked;
   ++moves_armed_;
-  Task* t = &task;
   const int fallback = cfs_choice;
-  kernel_->engine().ScheduleAfter(params_.move_delay, [this, t, fallback] {
+  // By tid: the task may exit, and be reclaimed, before the timer fires.
+  kernel_->engine().ScheduleAfter(params_.move_delay, [this, tid = task.tid, fallback] {
     // Move only if the task is still waiting on a run queue.
-    if (t->state == TaskState::kRunnable && kernel_->rq(t->cpu).Queued(t)) {
+    Task* t = kernel_->FindTask(tid);
+    if (t != nullptr && t->state == TaskState::kRunnable && kernel_->rq(t->cpu).Queued(t)) {
       ++moves_fired_;
       kernel_->MigrateQueued(t, fallback);
       kernel_->KickIfIdle(fallback);

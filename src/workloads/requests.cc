@@ -44,10 +44,12 @@ RequestStream::RequestStream(RequestSpec spec, Rng rng) : spec_(std::move(spec))
 bool RequestStream::Next(RequestPart* part) {
   if (subs_left_ > 0) {
     const int f = spec_.fanout - --subs_left_;  // 1..fanout
-    std::string name = base_ + ".s" + std::to_string(f);
-    ProgramBuilder sub(name);
+    // The builder's name only labels a loop-pairing abort, and request
+    // programs have no loops: a literal spares a copy of the part name.
+    ProgramBuilder sub("request");
     sub.ComputeMs(rng_.NextLogNormal(spec_.fanout_service_ms, spec_.service_sigma));
-    *part = {arrival_, requests_ - 1, f, sub.Build(), std::move(name)};
+    *part = {arrival_, requests_ - 1, f, std::move(sub).Build(),
+             base_ + ".s" + std::to_string(f)};
     return true;
   }
   constexpr double kPi = 3.14159265358979323846;
@@ -75,14 +77,14 @@ bool RequestStream::Next(RequestPart* part) {
     arrival_ = SecondsF(t_);
     const uint64_t req = requests_++;
     base_ = spec_.name + "-req" + std::to_string(req);
-    ProgramBuilder parent(base_);
+    ProgramBuilder parent("request");
     parent.ComputeMs(rng_.NextLogNormal(spec_.service_ms, spec_.service_sigma));
     if (spec_.io_pause_ms > 0.0) {
       parent.Sleep(MillisecondsF(rng_.NextExponential(spec_.io_pause_ms)))
           .ComputeMs(rng_.NextLogNormal(spec_.service_ms * 0.3, spec_.service_sigma));
     }
     subs_left_ = spec_.fanout;
-    *part = {arrival_, req, 0, parent.Build(), base_};
+    *part = {arrival_, req, 0, std::move(parent).Build(), base_};
     return true;
   }
   return false;

@@ -46,7 +46,11 @@ class InvariantObserver : public KernelObserver {
     (void)now;
     // Runnable counter matches reality.
     int runnable = 0;
-    for (const auto& task : kernel_->tasks()) {
+    for (size_t i = 0; i < kernel_->tasks().size(); ++i) {
+      const Task* task = kernel_->tasks()[i];
+      if (task == nullptr) {
+        continue;  // reclaimed: dead and unreachable
+      }
       switch (task->state) {
         case TaskState::kRunnable:
         case TaskState::kRunning:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -34,6 +35,28 @@ class PinnedPolicy : public SchedulerPolicy {
   int spin_ticks_;
 };
 
+// Keeps a copy of every task as it exits, by tid: a Task* is not held
+// across events, because an exited task may be reclaimed.
+class ExitLog : public KernelObserver {
+ public:
+  uint32_t InterestMask() const override { return kObsTaskExit; }
+  void OnTaskExit(SimTime now, const Task& task) override {
+    (void)now;
+    exited_.emplace(task.tid, task);
+  }
+  // The exited task `tid` as it was at exit; fails the test if it never did.
+  const Task& at(int tid) const {
+    const auto it = exited_.find(tid);
+    EXPECT_NE(it, exited_.end()) << "tid " << tid << " never exited";
+    return it == exited_.end() ? missing_ : it->second;
+  }
+  bool contains(int tid) const { return exited_.count(tid) != 0; }
+
+ private:
+  std::map<int, Task> exited_;
+  Task missing_;
+};
+
 // Common rig: fixed 1 GHz machine, so work W (GHz-ns) takes exactly W ns.
 struct Rig {
   explicit Rig(MachineSpec spec = FixedFreqMachine(),
@@ -43,6 +66,7 @@ struct Rig {
         policy(custom_policy != nullptr ? std::move(custom_policy)
                                         : std::make_unique<CfsPolicy>()),
         kernel(&engine, &hw, policy.get(), &governor, params) {
+    kernel.AddObserver(&exits);
     kernel.Start();
   }
 
@@ -71,16 +95,17 @@ struct Rig {
   std::unique_ptr<SchedulerPolicy> policy;
   PerformanceGovernor governor;
   Kernel kernel;
+  ExitLog exits;
 };
 
 TEST(KernelTest, SingleComputeTaskRunsExactly) {
   Rig rig;
   ProgramBuilder b("t");
   b.Compute(2e6);  // 2 ms at 1 GHz
-  Task* task = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0)->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(task->exited_at, 2 * kMillisecond);
-  EXPECT_EQ(task->total_runtime, 2 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 2 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).total_runtime, 2 * kMillisecond);
 }
 
 TEST(KernelTest, TaskStateTransitions) {
@@ -92,9 +117,10 @@ TEST(KernelTest, TaskStateTransitions) {
   rig.engine.RunUntil(MillisecondsF(1.5));
   EXPECT_EQ(task->state, TaskState::kBlocked);
   EXPECT_EQ(task->block_reason, BlockReason::kSleep);
+  const int tid = task->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(task->state, TaskState::kDead);
-  EXPECT_EQ(task->exited_at, 3 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).state, TaskState::kDead);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 3 * kMillisecond);
 }
 
 TEST(KernelTest, ForkAndJoinCompletes) {
@@ -143,21 +169,21 @@ TEST(KernelTest, SleepWakesAfterDuration) {
   Rig rig;
   ProgramBuilder b("t");
   b.Sleep(Milliseconds(7)).Compute(1e6);
-  Task* task = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0)->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(task->exited_at, 8 * kMillisecond);
-  EXPECT_EQ(task->wakeups, 1);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 8 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).wakeups, 1);
 }
 
 TEST(KernelTest, ExecutionHistoryTracksLastTwoStints) {
   Rig rig;
   ProgramBuilder b("t");
   b.Compute(1e6).Sleep(Milliseconds(1)).Compute(1e6).Sleep(Milliseconds(1)).Compute(1e6);
-  Task* task = rig.kernel.SpawnInitial(b.Build(), "t", 0, 2);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 2)->tid;
   rig.RunToCompletion();
   // Ran on cpu 2 every time (prev == prev_prev: "attached", paper §3.3).
-  EXPECT_EQ(task->prev_cpu, 2);
-  EXPECT_EQ(task->prev_prev_cpu, 2);
+  EXPECT_EQ(rig.exits.at(tid).prev_cpu, 2);
+  EXPECT_EQ(rig.exits.at(tid).prev_prev_cpu, 2);
 }
 
 TEST(KernelTest, TwoCpuBoundTasksShareOneCpuFairly) {
@@ -171,9 +197,8 @@ TEST(KernelTest, TwoCpuBoundTasksShareOneCpuFairly) {
   rig.RunToCompletion();
   EXPECT_EQ(rig.engine.Now(), 40 * kMillisecond);
   // Fairness: both ran, and neither finished absurdly early.
-  const auto& tasks = rig.kernel.tasks();
-  EXPECT_GT(tasks[0]->exited_at, 30 * kMillisecond);
-  EXPECT_GT(tasks[1]->exited_at, 30 * kMillisecond);
+  EXPECT_GT(rig.exits.at(1).exited_at, 30 * kMillisecond);
+  EXPECT_GT(rig.exits.at(2).exited_at, 30 * kMillisecond);
   EXPECT_GT(rig.kernel.context_switches(), 4u);
 }
 
@@ -184,11 +209,11 @@ TEST(KernelTest, WakeupPreemptsLongRunner) {
   ProgramBuilder sleeper("sleeper");
   sleeper.Sleep(Milliseconds(10)).Compute(1e6);
   rig.kernel.SpawnInitial(hog.Build(), "hog", 0, 0);
-  Task* s = rig.kernel.SpawnInitial(sleeper.Build(), "sleeper", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(sleeper.Build(), "sleeper", 0, 0)->tid;
   rig.RunToCompletion();
   // The sleeper woke at 10 ms with a vruntime credit and must have finished
   // long before the hog's 51 ms completion.
-  EXPECT_LT(s->exited_at, 20 * kMillisecond);
+  EXPECT_LT(rig.exits.at(tid).exited_at, 20 * kMillisecond);
 }
 
 TEST(KernelTest, BarrierReleasesAllParties) {
@@ -220,11 +245,11 @@ TEST(KernelTest, ChannelHandoffWakesReceiver) {
   receiver.Recv(9).Compute(1e6);
   ProgramBuilder sender("s");
   sender.Compute(2e6).Send(9);
-  Task* r = rig.kernel.SpawnInitial(receiver.Build(), "r", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(receiver.Build(), "r", 0, 0)->tid;
   rig.kernel.SpawnInitial(sender.Build(), "s", 0, 1);
   rig.RunToCompletion();
   // Receiver blocked immediately, woke at t=2ms, computed 1ms.
-  EXPECT_EQ(r->exited_at, 3 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 3 * kMillisecond);
 }
 
 TEST(KernelTest, ChannelBuffersMessages) {
@@ -233,11 +258,11 @@ TEST(KernelTest, ChannelBuffersMessages) {
   sender.Send(9).Send(9);
   ProgramBuilder receiver("r");
   receiver.Sleep(Milliseconds(5)).Recv(9).Recv(9).Compute(1e6);
-  Task* r = rig.kernel.SpawnInitial(receiver.Build(), "r", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(receiver.Build(), "r", 0, 0)->tid;
   rig.kernel.SpawnInitial(sender.Build(), "s", 0, 1);
   rig.RunToCompletion();
   // Both messages were pending; no blocking on recv.
-  EXPECT_EQ(r->exited_at, 6 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 6 * kMillisecond);
 }
 
 TEST(KernelTest, JoinThresholdReapsBatchOnly) {
@@ -248,10 +273,10 @@ TEST(KernelTest, JoinThresholdReapsBatchOnly) {
   batch.Compute(1e6);
   ProgramBuilder parent("p");
   parent.Fork(service.Build()).Fork(batch.Build()).JoinChildren(1).Compute(1e6);
-  Task* p = rig.kernel.SpawnInitial(parent.Build(), "p", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(parent.Build(), "p", 0, 0)->tid;
   rig.RunToCompletion();
   // Parent resumed when the batch child (1 ms) exited, not the 50 ms service.
-  EXPECT_EQ(p->exited_at, 2 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 2 * kMillisecond);
   EXPECT_EQ(rig.engine.Now(), 50 * kMillisecond);
 }
 
@@ -265,8 +290,9 @@ TEST(KernelTest, ExitingChildWakesJoiningParent) {
   rig.engine.RunUntil(2 * kMillisecond);
   EXPECT_EQ(p->state, TaskState::kBlocked);
   EXPECT_EQ(p->block_reason, BlockReason::kJoin);
+  const int tid = p->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(p->state, TaskState::kDead);
+  EXPECT_EQ(rig.exits.at(tid).state, TaskState::kDead);
 }
 
 TEST(KernelTest, RunnableCountTracksLifecycle) {
@@ -417,19 +443,6 @@ TEST(KernelTest, SmtSharingSlowsBothThreads) {
   EXPECT_EQ(rig.engine.Now(), 20 * kMillisecond);
 }
 
-TEST(KernelTest, LiveTasksPerTag) {
-  Rig rig;
-  ProgramBuilder b("t");
-  b.Sleep(Milliseconds(5));
-  rig.kernel.SpawnInitial(b.Build(), "a", /*tag=*/1, 0);
-  rig.kernel.SpawnInitial(b.Build(), "b", /*tag=*/2, 1);
-  EXPECT_EQ(rig.kernel.live_tasks_for_tag(1), 1);
-  EXPECT_EQ(rig.kernel.live_tasks_for_tag(2), 1);
-  EXPECT_EQ(rig.kernel.live_tasks_for_tag(3), 0);
-  rig.RunToCompletion();
-  EXPECT_EQ(rig.kernel.live_tasks_for_tag(1), 0);
-}
-
 TEST(KernelTest, RootCpuIsFirstSpawnCpu) {
   Rig rig;
   EXPECT_EQ(rig.kernel.root_cpu(), -1);
@@ -443,18 +456,18 @@ TEST(KernelTest, EmptyLoopBodySkipsCleanly) {
   Rig rig;
   ProgramBuilder b("t");
   b.Loop(0).Compute(1e6).EndLoop().Compute(2e6);
-  Task* t = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0)->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(t->exited_at, 2 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 2 * kMillisecond);
 }
 
 TEST(KernelTest, NestedLoopsExecuteFully) {
   Rig rig;
   ProgramBuilder b("t");
   b.Loop(3).Loop(2).Compute(1e6).EndLoop().EndLoop();
-  Task* t = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0)->tid;
   rig.RunToCompletion();
-  EXPECT_EQ(t->exited_at, 6 * kMillisecond);
+  EXPECT_EQ(rig.exits.at(tid).exited_at, 6 * kMillisecond);
 }
 
 // intel-8153-8s already fills a CpuMask exactly (256 CPUs). A 9-socket
@@ -540,6 +553,143 @@ TEST(KernelTest, StreamedInjectionsFireWhereScheduledOnesWould) {
                                                  "after@1000 tasks=3 runnable=3",
                                                  "after@2000 tasks=4 runnable=3",
                                                  "done@2500 tasks=4 runnable=0"}));
+}
+
+// ---- Reclamation: a dead task is freed once nothing can reach it. ----
+
+// Injects a short task at absolute time `when`; the NewTask inside that
+// later event is where buried tasks are freed.
+void InjectAt(Rig& rig, SimTime when) {
+  rig.engine.ScheduleAt(when, [&rig] {
+    ProgramBuilder b("probe");
+    b.Compute(1e5);
+    rig.kernel.InjectTask(b.Build(), "probe", 0);
+  });
+}
+
+bool Reclaimed(const Rig& rig, int tid) { return rig.kernel.FindTask(tid) == nullptr; }
+
+// Slots read null once reclaimed, in any order and across chunk boundaries;
+// a chunk emptied before it fills keeps taking new tasks.
+TEST(TaskTableTest, ReclaimedSlotsReadNullAndTheRestSurvive) {
+  TaskTable table;
+  constexpr size_t kTasks = 2500;  // three chunks, the last one partly filled
+  for (size_t i = 0; i < kTasks; ++i) {
+    auto task = std::make_unique<Task>();
+    task->tid = static_cast<int>(i) + 1;
+    ASSERT_EQ(table.Add(std::move(task))->tid, static_cast<int>(i) + 1);
+  }
+  for (size_t i = 0; i < kTasks; ++i) {
+    if (i % 7 != 3) {
+      table.Reclaim(i);
+    }
+  }
+  for (size_t i = 2048; i < kTasks; ++i) {
+    if (i % 7 == 3) {
+      table.Reclaim(i);  // the tail chunk is now empty but not full
+    }
+  }
+  auto last = std::make_unique<Task>();
+  last->tid = static_cast<int>(kTasks) + 1;
+  table.Add(std::move(last));
+  EXPECT_EQ(table.size(), kTasks + 1);
+  for (size_t i = 0; i < 2048; ++i) {
+    EXPECT_EQ(table[i] != nullptr, i % 7 == 3) << i;
+    if (table[i] != nullptr) {
+      EXPECT_EQ(table[i]->tid, static_cast<int>(i) + 1);
+    }
+  }
+  for (size_t i = 2048; i < kTasks; ++i) {
+    EXPECT_EQ(table[i], nullptr) << i;
+  }
+  ASSERT_NE(table[kTasks], nullptr);
+  EXPECT_EQ(table[kTasks]->tid, static_cast<int>(kTasks) + 1);
+}
+
+TEST(KernelReclaimTest, ParentExitingFirstIsFreedOnlyAfterItsLastChild) {
+  Rig rig;
+  ProgramBuilder short_child("c1");
+  short_child.Compute(1e6);
+  ProgramBuilder long_child("c2");
+  long_child.Compute(3e6);
+  ProgramBuilder parent("p");
+  parent.Fork(short_child.Build()).Fork(long_child.Build());  // exits without a join
+  const int parent_tid = rig.kernel.SpawnInitial(parent.Build(), "p", 0, 0)->tid;
+  ASSERT_EQ(rig.kernel.tasks().size(), 3u);
+  ASSERT_EQ(rig.kernel.FindTask(parent_tid)->state, TaskState::kDead);
+  InjectAt(rig, 2 * kMillisecond);  // c1 has exited, c2 still runs
+  InjectAt(rig, 8 * kMillisecond);  // both children have exited
+  rig.engine.RunUntil(2 * kMillisecond);
+  EXPECT_TRUE(Reclaimed(rig, 2));
+  EXPECT_FALSE(Reclaimed(rig, parent_tid)) << "a dead parent with a live child was freed";
+  EXPECT_EQ(rig.kernel.FindTask(parent_tid)->live_children, 1);
+  rig.engine.RunUntil(8 * kMillisecond);
+  EXPECT_TRUE(Reclaimed(rig, 3));
+  EXPECT_TRUE(Reclaimed(rig, parent_tid));
+  rig.RunToCompletion();
+  EXPECT_EQ(rig.exits.at(parent_tid).exited_at, 0);
+  EXPECT_LT(rig.exits.at(2).exited_at, 2 * kMillisecond);
+  EXPECT_GT(rig.exits.at(3).exited_at, 2 * kMillisecond);
+  EXPECT_LT(rig.exits.at(3).exited_at, 8 * kMillisecond);
+}
+
+TEST(KernelReclaimTest, TidsStayMonotonicAndTasksCountsEveryTaskCreated) {
+  Rig rig;
+  ProgramBuilder b("t");
+  b.Compute(1e6);
+  rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  for (int i = 1; i <= 4; ++i) {
+    InjectAt(rig, i * 2 * kMillisecond);  // each after the previous task exited
+  }
+  rig.engine.RunUntil(10 * kMillisecond);
+  ASSERT_EQ(rig.kernel.live_tasks(), 0);
+  ASSERT_EQ(rig.kernel.tasks().size(), 5u);
+  for (int tid = 1; tid <= 4; ++tid) {
+    EXPECT_TRUE(Reclaimed(rig, tid)) << "tid " << tid;
+  }
+  // Freed slots are never reused: the last task still has the fifth tid.
+  ASSERT_NE(rig.kernel.FindTask(5), nullptr);
+  EXPECT_EQ(rig.kernel.FindTask(5)->tid, 5);
+}
+
+// A task killed with an event still pending on it (the delayed enqueue of
+// the §3.4 window, or a sleep timer) is freed before that event fires; the
+// event must find the slot empty and touch nothing (ASan builds catch a
+// read of the freed task).
+TEST(KernelReclaimTest, TaskKilledWhilePlacingIsFreedBeforeItsEnqueueFires) {
+  Kernel::Params params = Rig::ZeroCostParams();
+  params.placement_latency = 5 * kMicrosecond;
+  Rig rig(FixedFreqMachine(), params);
+  ProgramBuilder child("c");
+  child.Compute(1e6);
+  ProgramBuilder parent("p");
+  parent.Fork(child.Build()).Compute(1e6);
+  rig.kernel.SpawnInitial(parent.Build(), "p", 0, 0);
+  Task* placing = rig.kernel.FindTask(2);
+  ASSERT_NE(placing, nullptr);
+  ASSERT_EQ(placing->state, TaskState::kPlacing);
+  rig.kernel.KillTask(placing);
+  InjectAt(rig, 1 * kMicrosecond);  // frees the child, 4 us before its enqueue
+  rig.engine.RunUntil(2 * kMicrosecond);
+  EXPECT_TRUE(Reclaimed(rig, 2));
+  rig.RunToCompletion();
+  EXPECT_FALSE(rig.exits.contains(2));
+  EXPECT_EQ(rig.kernel.runnable_tasks(), 0);
+}
+
+TEST(KernelReclaimTest, TaskKilledWhileAsleepIsFreedBeforeItsTimerFires) {
+  Rig rig;
+  ProgramBuilder b("t");
+  b.Sleep(Milliseconds(1)).Compute(1e6);
+  Task* sleeper = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  ASSERT_EQ(sleeper->state, TaskState::kBlocked);
+  rig.kernel.KillTask(sleeper);
+  InjectAt(rig, Microseconds(500));  // frees the sleeper before its 1 ms timer
+  rig.engine.RunUntil(2 * kMillisecond);
+  EXPECT_TRUE(Reclaimed(rig, 1));
+  rig.RunToCompletion();
+  EXPECT_FALSE(rig.exits.contains(1));
+  EXPECT_EQ(rig.kernel.runnable_tasks(), 0);
 }
 
 }  // namespace

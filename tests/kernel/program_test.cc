@@ -7,7 +7,6 @@ namespace {
 
 TEST(ProgramBuilderTest, EmptyProgram) {
   ProgramPtr p = ProgramBuilder("empty").Build();
-  EXPECT_EQ(p->name, "empty");
   EXPECT_TRUE(p->ops.empty());
 }
 

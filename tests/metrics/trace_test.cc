@@ -36,13 +36,13 @@ TEST(TraceTest, RecordsOneSegmentPerStint) {
   TraceRig rig;
   ProgramBuilder b("t");
   b.Compute(2e6).Sleep(Milliseconds(1)).Compute(3e6);
-  Task* t = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0);
+  const int tid = rig.kernel.SpawnInitial(b.Build(), "t", 0, 0)->tid;
   rig.Run();
   const auto segments = rig.recorder.Finish(rig.engine.Now());
   // Two compute stints (segments may be split by speed changes; at fixed
   // frequency they are not).
   ASSERT_EQ(segments.size(), 2u);
-  EXPECT_EQ(segments[0].tid, t->tid);
+  EXPECT_EQ(segments[0].tid, tid);
   EXPECT_EQ(segments[0].end - segments[0].start, 2 * kMillisecond);
   EXPECT_EQ(segments[1].end - segments[1].start, 3 * kMillisecond);
   EXPECT_DOUBLE_EQ(segments[0].freq_ghz, 1.0);

@@ -142,6 +142,37 @@ TEST(BenchReportTest, JsonEmbedsReferenceAndSpeedup) {
   EXPECT_NE(parsed.Find("reference"), nullptr);
 }
 
+TEST(BenchReportTest, JsonCarriesPeakRssAndItsRatioToTheReference) {
+  BenchReport reference;
+  BenchRecord old_mem = MakeRecord("mem/x@4s", 1000, 1.0);
+  old_mem.peak_rss_mb = 20.0;
+  reference.Add(old_mem);
+  reference.Add(MakeRecord("grid/x", 1000, 1.0));
+  const std::string reference_json = reference.ToJson("full", "");
+
+  BenchReport current;
+  BenchRecord mem = MakeRecord("mem/x@4s", 1000, 1.0);
+  mem.peak_rss_mb = 5.0;
+  current.Add(mem);
+  current.Add(MakeRecord("grid/x", 1000, 1.0));  // no peak: no fields
+  const std::string json = current.ToJson("full", reference_json);
+
+  JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(JsonParse(json, &parsed, &error)) << error;
+  const JsonValue* records = parsed.Find("records");
+  ASSERT_NE(records, nullptr);
+  ASSERT_EQ(records->items.size(), 2u);
+  const JsonValue* peak = records->items[0].Find("peak_rss_mb");
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(peak->number, 5.0);
+  const JsonValue* ratio = records->items[0].Find("rss_vs_reference");
+  ASSERT_NE(ratio, nullptr);
+  EXPECT_DOUBLE_EQ(ratio->number, 0.25);
+  EXPECT_EQ(records->items[1].Find("peak_rss_mb"), nullptr);
+  EXPECT_EQ(records->items[1].Find("rss_vs_reference"), nullptr);
+}
+
 TEST(PerfFloorTest, PassesWithinBand) {
   BenchReport report;
   report.Add(MakeRecord("grid/table4:quick", 800, 1.0));  // 800 ops/sec

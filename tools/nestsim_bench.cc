@@ -1,6 +1,6 @@
 // nestsim_bench: simulator-core micro/throughput benchmarks (docs/BENCHMARKS.md).
 //
-//   nestsim_bench                          micro + full table4/fig12 grids
+//   nestsim_bench                          mem/ peaks, micro, full table4/fig12 grids
 //   nestsim_bench --quick                  CI-sized grids (~seconds, ":quick" names)
 //   nestsim_bench --json BENCH_core.json   also write the JSON report
 //   nestsim_bench --reference OLD.json     annotate records with speedup vs OLD
@@ -34,7 +34,7 @@ int Usage(const char* argv0) {
                "                     setup/requests@256)\n"
                "  --grid FILE        grid scenario to benchmark (repeatable;\n"
                "                     default: table4.json fig12.json)\n"
-               "  --no-grid          skip the grid benchmarks entirely\n"
+               "  --no-grid          skip the grid and mem/ benchmarks entirely\n"
                "  --no-scaling       skip the PDES threads-vs-events/sec curve\n"
                "  --scaling FILE     scaling scenario (default: pdes_scaling.json)\n"
                "  --workers LIST     comma-separated curve points (default: 0,1,2,4,8)\n"
@@ -140,6 +140,14 @@ int main(int argc, char** argv) {
   }
 
   BenchReport report;
+  if (run_grids) {
+    // First, while this process is still small: a forked child's peak
+    // starts from the resident set it inherits.
+    std::fprintf(stderr, "[bench] memory: scale256 at 4 s and 64 s simulated...\n");
+    if (!RunMemBenches(&report)) {
+      return 1;
+    }
+  }
   if (run_micro) {
     std::fprintf(stderr, "[bench] microbenchmarks (%d samples each)...\n", options.micro_samples);
     RunMicroBenches(options, &report);
