@@ -2,74 +2,10 @@
 
 #include <cstdlib>
 
+#include "src/obs/json_check.h"
 #include "src/obs/sched_counters.h"
 
 namespace nestsim {
-
-namespace {
-
-void AppendDouble(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
-
-void AppendField(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  AppendDouble(out, value);
-}
-
-void AppendField(std::string& out, const char* key, uint64_t value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-}  // namespace
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 const char* JobStatusName(JobStatus status) {
   switch (status) {
@@ -83,89 +19,72 @@ const char* JobStatusName(JobStatus status) {
   return "?";
 }
 
+void AppendRunBlocks(JsonWriter& w, const ExperimentConfig& config, const ExperimentResult& r) {
+  if (config.record_latency) {
+    w.Key("wakeup_p50_us").Double(r.p50_wakeup_latency_us);
+    w.Key("wakeup_p99_us").Double(r.p99_wakeup_latency_us);
+  }
+  if (r.cluster.num_machines > 0) {
+    w.Key("requests_offered").U64(r.cluster.requests_offered);
+    w.Key("requests_completed").U64(r.cluster.requests_completed);
+    w.Key("latency_p50_ms").Double(r.cluster.p50_ms);
+    w.Key("latency_p99_ms").Double(r.cluster.p99_ms);
+    w.Key("latency_p999_ms").Double(r.cluster.p999_ms);
+  }
+  if (r.resilience.any()) {
+    w.Key("tasks_killed").U64(r.resilience.tasks_killed);
+    w.Key("replicas_reaped").U64(r.resilience.replicas_reaped);
+    w.Key("evacuations").U64(r.resilience.evacuations);
+    w.Key("work_lost_ms").Double(r.resilience.work_lost_ms);
+    w.Key("wasted_replica_ms").Double(r.resilience.wasted_replica_ms);
+    w.Key("mean_evac_latency_us").Double(r.resilience.mean_evac_latency_us);
+    w.Key("requests_failed").U64(r.resilience.requests_failed);
+    w.Key("requests_degraded").U64(r.resilience.requests_degraded);
+  }
+}
+
 std::string JobRecordJson(const std::string& campaign, const Job& job,
                           const JobOutcome& outcome) {
-  std::string out = "{";
-  AppendField(out, "campaign", campaign);
-  out += ',';
-  AppendField(out, "workload", job.workload);
-  out += ',';
-  AppendField(out, "variant", job.variant);
-  out += ',';
-  AppendField(out, "machine", job.config.machine);
-  out += ',';
-  AppendField(out, "scheduler", std::string(SchedulerKindName(job.config.scheduler)));
-  out += ',';
-  AppendField(out, "governor", job.config.governor);
-  out += ',';
-  AppendField(out, "base_seed", job.base_seed);
-  out += ',';
-  AppendField(out, "repetitions", static_cast<uint64_t>(job.repetitions));
-  out += ',';
-  AppendField(out, "status", std::string(JobStatusName(outcome.status)));
-  out += ',';
-  AppendField(out, "wall_s", outcome.wall_seconds);
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("campaign").String(campaign);
+  w.Key("workload").String(job.workload);
+  w.Key("variant").String(job.variant);
+  w.Key("machine").String(job.config.machine);
+  w.Key("scheduler").String(SchedulerKindName(job.config.scheduler));
+  w.Key("governor").String(job.config.governor);
+  w.Key("base_seed").U64(job.base_seed);
+  w.Key("repetitions").U64(static_cast<uint64_t>(job.repetitions));
+  w.Key("status").String(JobStatusName(outcome.status));
+  w.Key("wall_s").Double(outcome.wall_seconds);
   if (outcome.status == JobStatus::kFailed) {
-    out += ',';
-    AppendField(out, "error", outcome.message);
+    w.Key("error").String(outcome.message);
   }
-  if (outcome.status == JobStatus::kOk) {
-    out += ',';
-    AppendField(out, "mean_s", outcome.result.mean_seconds);
-    out += ',';
-    AppendField(out, "stddev_s", outcome.result.stddev_seconds);
-    out += ',';
-    AppendField(out, "mean_energy_j", outcome.result.mean_energy_j);
-    out += ',';
-    AppendField(out, "mean_underload_per_s", outcome.result.mean_underload_per_s);
-    out += ",\"runs\":[";
-    for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
-      const ExperimentResult& r = outcome.result.runs[i];
-      if (i > 0) {
-        out += ',';
-      }
-      out += '{';
-      AppendField(out, "seed", job.base_seed + i);
-      out += ',';
-      AppendField(out, "seconds", r.seconds());
-      out += ',';
-      AppendField(out, "energy_j", r.energy_joules);
-      out += ',';
-      AppendField(out, "underload_per_s", r.underload_per_s);
-      out += ',';
-      AppendField(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
-      if (r.resilience.any()) {
-        // Fault/replica resilience block (docs/FAULTS.md): only present on
-        // runs where faults actually fired, matching the counter convention.
-        out += ',';
-        AppendField(out, "tasks_killed", r.resilience.tasks_killed);
-        out += ',';
-        AppendField(out, "replicas_reaped", r.resilience.replicas_reaped);
-        out += ',';
-        AppendField(out, "evacuations", r.resilience.evacuations);
-        out += ',';
-        AppendField(out, "work_lost_ms", r.resilience.work_lost_ms);
-        out += ',';
-        AppendField(out, "wasted_replica_ms", r.resilience.wasted_replica_ms);
-        out += ',';
-        AppendField(out, "mean_evac_latency_us", r.resilience.mean_evac_latency_us);
-        out += ',';
-        AppendField(out, "requests_failed", r.resilience.requests_failed);
-        out += ',';
-        AppendField(out, "requests_degraded", r.resilience.requests_degraded);
-      }
-      out += '}';
-    }
-    out += ']';
+  if (outcome.ok()) {
+    w.Key("mean_s").Double(outcome.result.mean_seconds);
+    w.Key("stddev_s").Double(outcome.result.stddev_seconds);
+    w.Key("mean_energy_j").Double(outcome.result.mean_energy_j);
+    w.Key("mean_underload_per_s").Double(outcome.result.mean_underload_per_s);
+    w.Key("runs").BeginArray();
     // Decision counters summed across the job's runs (docs/OBSERVABILITY.md).
     SchedCounters summed;
-    for (const ExperimentResult& r : outcome.result.runs) {
+    for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
+      const ExperimentResult& r = outcome.result.runs[i];
+      w.BeginObject();
+      w.Key("seed").U64(job.base_seed + i);
+      w.Key("seconds").Double(r.seconds());
+      w.Key("energy_j").Double(r.energy_joules);
+      w.Key("underload_per_s").Double(r.underload_per_s);
+      w.Key("makespan_ns").U64(static_cast<uint64_t>(r.makespan));
+      AppendRunBlocks(w, job.config, r);
+      w.EndObject();
       summed.Add(r.counters);
     }
-    out += ",\"counters\":";
-    out += SchedCountersJson(summed);
+    w.EndArray();
+    w.Key("counters").Raw(SchedCountersJson(summed));
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 

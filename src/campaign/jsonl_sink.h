@@ -16,14 +16,21 @@
 
 namespace nestsim {
 
-// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string JsonEscape(const std::string& s);
+class JsonWriter;
+
+// The optional per-run blocks, written into the open run object of both this
+// sink's records and the goldens (src/scenario/baseline.cc): the wakeup
+// latency tails when `config` records latency, the cluster serving figures on
+// fleet runs, the resilience figures when a fault, replica or evacuation
+// fired. Each block is absent otherwise, so older records stay byte-identical.
+void AppendRunBlocks(JsonWriter& w, const ExperimentConfig& config, const ExperimentResult& r);
 
 // The record the sink writes for one job, without the trailing newline.
 // Fields: campaign, workload, variant, machine, scheduler, governor,
 // base_seed, repetitions, status, wall_s; when the job succeeded also the
-// aggregate means and a per-run array (seed, seconds, energy_j,
-// underload_per_s, makespan_ns); when it failed, the error message.
+// aggregate means, a per-run array (seed, seconds, energy_j,
+// underload_per_s, makespan_ns, then AppendRunBlocks) and the summed
+// counters; when it failed, the error message.
 std::string JobRecordJson(const std::string& campaign, const Job& job, const JobOutcome& outcome);
 
 class JsonlSink {

@@ -394,9 +394,7 @@ bool JsonParse(const std::string& text, JsonValue* out, std::string* error) {
   return true;
 }
 
-namespace {
-
-void SerializeString(const std::string& s, std::string& out) {
+void AppendJsonQuoted(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     const unsigned char u = static_cast<unsigned char>(c);
@@ -435,6 +433,14 @@ void SerializeString(const std::string& s, std::string& out) {
   out += '"';
 }
 
+std::string JsonDouble(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+namespace {
+
 void SerializeNumber(double number, std::string& out) {
   char buf[32];
   if (number == static_cast<double>(static_cast<long long>(number)) &&
@@ -472,7 +478,7 @@ void SerializeValue(const JsonValue& value, int indent, int depth, std::string& 
       SerializeNumber(value.number, out);
       break;
     case JsonValue::Type::kString:
-      SerializeString(value.string, out);
+      AppendJsonQuoted(out, value.string);
       break;
     case JsonValue::Type::kObject: {
       if (value.members.empty()) {
@@ -487,7 +493,7 @@ void SerializeValue(const JsonValue& value, int indent, int depth, std::string& 
         }
         first = false;
         newline_pad(depth + 1);
-        SerializeString(key, out);
+        AppendJsonQuoted(out, key);
         out += pretty ? ": " : ":";
         SerializeValue(member, indent, depth + 1, out);
       }
@@ -523,6 +529,47 @@ std::string JsonSerialize(const JsonValue& value, int indent) {
   std::string out;
   SerializeValue(value, indent, 0, out);
   return out;
+}
+
+void JsonWriter::Separate() {
+  if (need_comma_) {
+    *out_ += ',';
+  }
+}
+
+JsonWriter& JsonWriter::Open(char bracket) {
+  Separate();
+  *out_ += bracket;
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Close(char bracket) {
+  *out_ += bracket;
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Key(std::string_view key) {
+  Separate();
+  AppendJsonQuoted(*out_, key);
+  *out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::String(std::string_view s) {
+  Separate();
+  AppendJsonQuoted(*out_, s);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::Raw(std::string_view json) {
+  Separate();
+  *out_ += json;
+  need_comma_ = true;
+  return *this;
 }
 
 }  // namespace nestsim

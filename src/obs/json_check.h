@@ -1,15 +1,21 @@
-// A dependency-free JSON checker and parser (src/obs/).
+// The project's one JSON module (src/obs/): a dependency-free checker,
+// parser and writer.
 //
 // The test suite uses JsonValid to parse back everything the observability
 // layer emits (Perfetto traces, counter objects, campaign JSONL records)
 // without pulling in an external JSON library. JsonParse additionally builds
 // a JsonValue tree from the same grammar; the scenario engine
-// (src/scenario/) reads experiment-spec files through it.
+// (src/scenario/) reads experiment-spec files through it. JsonWriter renders
+// every record the project writes (goldens, campaign JSONL, counter objects,
+// bench reports, decision exports), so string escaping and number format
+// live here alone.
 
 #ifndef NESTSIM_SRC_OBS_JSON_CHECK_H_
 #define NESTSIM_SRC_OBS_JSON_CHECK_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,6 +63,44 @@ bool JsonParse(const std::string& text, JsonValue* out, std::string* error = nul
 // 0 emits the compact single-line form. The output always re-parses to an
 // equal tree, so generated scenarios are standard scenario files.
 std::string JsonSerialize(const JsonValue& value, int indent = 0);
+
+// Appends `s` as a quoted JSON string: `"` and `\` escaped, \b \f \n \r \t
+// as short escapes, other control bytes as \u00XX, UTF-8 byte for byte.
+void AppendJsonQuoted(std::string& out, std::string_view s);
+
+// `v` as %.17g: every finite double round-trips exactly through the text.
+std::string JsonDouble(double v);
+
+// Streaming writer for compact JSON: appends to `*out` and places the commas
+// itself. Calls chain: w.BeginObject().Key("seed").U64(7).EndObject().
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter& BeginObject() { return Open('{'); }
+  JsonWriter& EndObject() { return Close('}'); }
+  JsonWriter& BeginArray() { return Open('['); }
+  JsonWriter& EndArray() { return Close(']'); }
+
+  // The next value is this key's.
+  JsonWriter& Key(std::string_view key);
+
+  JsonWriter& String(std::string_view s);
+  JsonWriter& U64(uint64_t v) { return Raw(std::to_string(v)); }
+  JsonWriter& I64(int64_t v) { return Raw(std::to_string(v)); }
+  JsonWriter& Double(double v) { return Raw(JsonDouble(v)); }
+  JsonWriter& Bool(bool v) { return Raw(v ? "true" : "false"); }
+  // An already-rendered JSON value, embedded verbatim.
+  JsonWriter& Raw(std::string_view json);
+
+ private:
+  JsonWriter& Open(char bracket);
+  JsonWriter& Close(char bracket);
+  void Separate();
+
+  std::string* out_;
+  bool need_comma_ = false;
+};
 
 }  // namespace nestsim
 

@@ -3,42 +3,22 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/obs/json_check.h"
+
 namespace nestsim {
 
 namespace {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string TaskArgs(const Task& task) {
-  std::string args = "{\"task\":\"";
-  args += Escape(task.name);
-  args += "\",\"tid\":";
+// {"task":"<name>","tid":<tid> with the object left open for more fields.
+std::string OpenTaskArgs(const Task& task) {
+  std::string args = "{\"task\":";
+  AppendJsonQuoted(args, task.name);
+  args += ",\"tid\":";
   args += std::to_string(task.tid);
-  args += '}';
   return args;
 }
+
+std::string TaskArgs(const Task& task) { return OpenTaskArgs(task) + '}'; }
 
 // Microseconds with nanosecond precision, the unit chrome trace JSON expects.
 void AppendMicros(std::string& out, SimTime ns) {
@@ -62,7 +42,9 @@ PerfettoTraceWriter::PerfettoTraceWriter(Kernel* kernel, size_t max_events)
     ev.pid = pid;
     ev.tid = tid;
     ev.name = what;
-    ev.args = "{\"name\":\"" + Escape(value) + "\"}";
+    ev.args = "{\"name\":";
+    AppendJsonQuoted(ev.args, value);
+    ev.args += '}';
     events_.push_back(std::move(ev));
   };
   meta(kPidCpu, 0, "process_name", "cpu activity");
@@ -137,10 +119,7 @@ void PerfettoTraceWriter::OnTaskPlaced(SimTime now, const Task& task, int cpu, b
   ev.pid = kPidCpu;
   ev.tid = cpu;
   ev.name = std::string("place:") + PlacementPathName(task.placement_path);
-  std::string args = "{\"task\":\"";
-  args += Escape(task.name);
-  args += "\",\"tid\":";
-  args += std::to_string(task.tid);
+  std::string args = OpenTaskArgs(task);
   args += ",\"fork\":";
   args += is_fork ? "true" : "false";
   args += '}';
@@ -207,10 +186,7 @@ void PerfettoTraceWriter::OnTaskMigrated(SimTime now, const Task& task, int from
   ev.pid = kPidCpu;
   ev.tid = to_cpu;
   ev.name = std::string("migrate:") + MigrationReasonName(reason);
-  std::string args = "{\"task\":\"";
-  args += Escape(task.name);
-  args += "\",\"tid\":";
-  args += std::to_string(task.tid);
+  std::string args = OpenTaskArgs(task);
   args += ",\"from\":";
   args += std::to_string(from_cpu);
   args += ",\"to\":";
@@ -267,10 +243,7 @@ void PerfettoTraceWriter::OnCacheEvent(SimTime now, const Task& task, CacheEvent
   ev.pid = kPidCpu;
   ev.tid = cpu;
   ev.name = std::string("cache:") + CacheEventKindName(kind);
-  std::string args = "{\"task\":\"";
-  args += Escape(task.name);
-  args += "\",\"tid\":";
-  args += std::to_string(task.tid);
+  std::string args = OpenTaskArgs(task);
   char warmth_buf[32];
   std::snprintf(warmth_buf, sizeof(warmth_buf), ",\"warmth\":%.4f}", warmth);
   args += warmth_buf;
@@ -295,12 +268,7 @@ void PerfettoTraceWriter::OnFaultEvent(SimTime now, FaultEventKind kind, int cpu
   ev.tid = cpu >= 0 ? cpu : 0;  // machine-level events land on cpu0's track
   ev.name = std::string("fault:") + FaultEventKindName(kind);
   if (task != nullptr) {
-    std::string args = "{\"task\":\"";
-    args += Escape(task->name);
-    args += "\",\"tid\":";
-    args += std::to_string(task->tid);
-    args += '}';
-    ev.args = std::move(args);
+    ev.args = TaskArgs(*task);
   }
   Push(std::move(ev));
 }
@@ -376,9 +344,9 @@ std::string PerfettoTraceWriter::Serialize() const {
       out += ',';
     }
     first = false;
-    out += "{\"name\":\"";
-    out += Escape(ev.name);
-    out += "\",\"ph\":\"";
+    out += "{\"name\":";
+    AppendJsonQuoted(out, ev.name);
+    out += ",\"ph\":\"";
     out += ev.ph;
     out += "\",\"pid\":";
     out += std::to_string(ev.pid);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/obs/json_check.h"
+
 namespace nestsim {
 
 void SchedCounters::Add(const SchedCounters& other) {
@@ -66,24 +68,10 @@ std::string NestSummary(const SchedCounters& c) {
   return buf;
 }
 
-namespace {
-
-void AppendU64(std::string& out, const char* key, uint64_t value, bool* first) {
-  if (!*first) {
-    out += ',';
-  }
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-}  // namespace
-
 std::string SchedCountersJson(const SchedCounters& c) {
-  std::string out = "{\"placements\":{";
-  bool first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("placements").BeginObject();
   for (int i = 0; i < kNumPlacementPaths; ++i) {
     // The cache-aware, fault-evacuation, predictor, and oracle paths only
     // joined in later PRs; omitting them when unused keeps earlier golden
@@ -95,46 +83,45 @@ std::string SchedCountersJson(const SchedCounters& c) {
         c.placements[i] == 0) {
       continue;
     }
-    AppendU64(out, PlacementPathName(static_cast<PlacementPath>(i)), c.placements[i], &first);
+    w.Key(PlacementPathName(static_cast<PlacementPath>(i))).U64(c.placements[i]);
   }
-  out += '}';
-  first = false;  // the placements object already opened the record
-  AppendU64(out, "fork_placements", c.fork_placements, &first);
-  AppendU64(out, "wake_placements", c.wake_placements, &first);
-  AppendU64(out, "reservation_collisions", c.reservation_collisions, &first);
-  AppendU64(out, "nest_promotions", c.nest_promotions, &first);
-  AppendU64(out, "nest_demotions", c.nest_demotions, &first);
-  AppendU64(out, "nest_compactions", c.nest_compactions, &first);
-  AppendU64(out, "nest_reserve_adds", c.nest_reserve_adds, &first);
-  AppendU64(out, "nest_reserve_full_drops", c.nest_reserve_full_drops, &first);
-  AppendU64(out, "spin_starts", c.spin_starts, &first);
-  AppendU64(out, "spin_converted", c.spin_converted, &first);
-  AppendU64(out, "spin_expired", c.spin_expired, &first);
-  AppendU64(out, "migrations_newidle", c.migrations_newidle, &first);
-  AppendU64(out, "migrations_periodic", c.migrations_periodic, &first);
-  AppendU64(out, "migrations_policy", c.migrations_policy, &first);
-  AppendU64(out, "freq_ramps_up", c.freq_ramps_up, &first);
-  AppendU64(out, "freq_ramps_down", c.freq_ramps_down, &first);
-  AppendU64(out, "wc_violation_ns", c.wc_violation_ns, &first);
-  AppendU64(out, "wc_violation_episodes", c.wc_violation_episodes, &first);
+  w.EndObject();
+  w.Key("fork_placements").U64(c.fork_placements);
+  w.Key("wake_placements").U64(c.wake_placements);
+  w.Key("reservation_collisions").U64(c.reservation_collisions);
+  w.Key("nest_promotions").U64(c.nest_promotions);
+  w.Key("nest_demotions").U64(c.nest_demotions);
+  w.Key("nest_compactions").U64(c.nest_compactions);
+  w.Key("nest_reserve_adds").U64(c.nest_reserve_adds);
+  w.Key("nest_reserve_full_drops").U64(c.nest_reserve_full_drops);
+  w.Key("spin_starts").U64(c.spin_starts);
+  w.Key("spin_converted").U64(c.spin_converted);
+  w.Key("spin_expired").U64(c.spin_expired);
+  w.Key("migrations_newidle").U64(c.migrations_newidle);
+  w.Key("migrations_periodic").U64(c.migrations_periodic);
+  w.Key("migrations_policy").U64(c.migrations_policy);
+  w.Key("freq_ramps_up").U64(c.freq_ramps_up);
+  w.Key("freq_ramps_down").U64(c.freq_ramps_down);
+  w.Key("wc_violation_ns").U64(c.wc_violation_ns);
+  w.Key("wc_violation_episodes").U64(c.wc_violation_episodes);
   // The cache block is schema-stable *among runs that track warmth*; runs
   // without the model omit it entirely so their digests predate the model.
   if (c.cache_warm_hits != 0 || c.cache_cold_misses != 0 ||
       c.cache_cross_die_migrations != 0) {
-    AppendU64(out, "cache_warm_hits", c.cache_warm_hits, &first);
-    AppendU64(out, "cache_cold_misses", c.cache_cold_misses, &first);
-    AppendU64(out, "cache_cross_die_migrations", c.cache_cross_die_migrations, &first);
+    w.Key("cache_warm_hits").U64(c.cache_warm_hits);
+    w.Key("cache_cold_misses").U64(c.cache_cold_misses);
+    w.Key("cache_cross_die_migrations").U64(c.cache_cross_die_migrations);
   }
   // Same convention for the fault/budget block (src/fault/): present only on
   // runs where faults, replicas, or a power budget actually fired.
   if (c.faults_injected != 0 || c.tasks_evacuated != 0 || c.replica_quorum_joins != 0 ||
       c.budget_throttle_ticks != 0) {
-    AppendU64(out, "faults_injected", c.faults_injected, &first);
-    AppendU64(out, "tasks_evacuated", c.tasks_evacuated, &first);
-    AppendU64(out, "replica_quorum_joins", c.replica_quorum_joins, &first);
-    AppendU64(out, "budget_throttle_ticks", c.budget_throttle_ticks, &first);
+    w.Key("faults_injected").U64(c.faults_injected);
+    w.Key("tasks_evacuated").U64(c.tasks_evacuated);
+    w.Key("replica_quorum_joins").U64(c.replica_quorum_joins);
+    w.Key("budget_throttle_ticks").U64(c.budget_throttle_ticks);
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 

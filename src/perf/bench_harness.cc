@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "src/campaign/jsonl_sink.h"
 #include "src/obs/json_check.h"
 
 namespace nestsim {
@@ -17,12 +16,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-std::string BenchFormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 BenchRecord MeasureMedian(const std::string& name, const BenchOptions& options,
                           const std::function<uint64_t()>& body) {
@@ -102,49 +95,40 @@ std::string BenchReport::ToJson(const std::string& mode,
     return nullptr;
   };
 
-  std::string out = "{\"schema\":\"nestsim-bench-core-v1\",\"mode\":\"";
-  out += JsonEscape(mode);
-  out += "\",\"records\":[";
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const BenchRecord& r = records_[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += "{\"name\":\"";
-    out += JsonEscape(r.name);
-    out += "\",\"ops\":";
-    out += std::to_string(r.ops);
-    out += ",\"samples\":";
-    out += std::to_string(r.samples);
-    out += ",\"median_s\":";
-    out += BenchFormatDouble(r.median_s);
-    out += ",\"ns_per_op\":";
-    out += BenchFormatDouble(r.ns_per_op);
-    out += ",\"ops_per_sec\":";
-    out += BenchFormatDouble(r.ops_per_sec);
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("schema").String("nestsim-bench-core-v1");
+  w.Key("mode").String(mode);
+  w.Key("records").BeginArray();
+  for (const BenchRecord& r : records_) {
+    w.BeginObject();
+    w.Key("name").String(r.name);
+    w.Key("ops").U64(r.ops);
+    w.Key("samples").I64(r.samples);
+    w.Key("median_s").Double(r.median_s);
+    w.Key("ns_per_op").Double(r.ns_per_op);
+    w.Key("ops_per_sec").Double(r.ops_per_sec);
     if (const JsonValue* ref = reference_field(r.name, "ops_per_sec");
         ref != nullptr && ref->number > 0.0) {
-      out += ",\"speedup_vs_reference\":";
-      out += BenchFormatDouble(r.ops_per_sec / ref->number);
+      w.Key("speedup_vs_reference").Double(r.ops_per_sec / ref->number);
     }
     if (r.peak_rss_mb > 0.0) {
-      out += ",\"peak_rss_mb\":";
-      out += BenchFormatDouble(r.peak_rss_mb);
+      w.Key("peak_rss_mb").Double(r.peak_rss_mb);
       if (const JsonValue* ref = reference_field(r.name, "peak_rss_mb");
           ref != nullptr && ref->number > 0.0) {
-        out += ",\"rss_vs_reference\":";
-        out += BenchFormatDouble(r.peak_rss_mb / ref->number);
+        w.Key("rss_vs_reference").Double(r.peak_rss_mb / ref->number);
       }
     }
-    out += '}';
+    w.EndObject();
   }
-  out += ']';
-  if (!reference_json.empty() && have_reference) {
-    out += ",\"reference\":";
+  w.EndArray();
+  if (have_reference) {
     // Embed the prior report verbatim; it is already a JSON document.
-    out += reference_json;
+    w.Key("reference").Raw(reference_json);
   }
-  out += "}\n";
+  w.EndObject();
+  out += '\n';
   return out;
 }
 

@@ -65,10 +65,6 @@ class BenchReport {
   std::vector<BenchRecord> records_;
 };
 
-// %.17g rendering shared by the JSON writer and its tests: every finite
-// double round-trips exactly through this format.
-std::string BenchFormatDouble(double v);
-
 }  // namespace nestsim
 
 #endif  // NESTSIM_SRC_PERF_BENCH_HARNESS_H_

@@ -1,51 +1,10 @@
 #include "src/predict/features.h"
 
-#include <cstdio>
+#include "src/obs/json_check.h"
 
 namespace nestsim {
 
-std::string FormatG17(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 namespace {
-
-// Minimal JSON string escaping for the label columns; decision labels are
-// plain identifiers in practice, but a scenario author can put anything in a
-// row label and the JSONL form must stay parseable.
-void AppendJsonString(std::string& out, const std::string& text) {
-  out += '"';
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 // CSV cells never need quoting except the free-form labels; quote those only
 // when they contain a delimiter so the common case stays byte-stable.
@@ -120,64 +79,48 @@ std::string DecisionCsvRow(const DecisionRow& row, uint64_t decision,
   for (int cpu = 0; cpu < num_cpus; ++cpu) {
     const DecisionRow::CoreSample s = SampleOrZero(row, cpu);
     out += ',';
-    out += FormatG17(s.ghz);
+    out += JsonDouble(s.ghz);
     out += ',';
-    out += FormatG17(s.load);
+    out += JsonDouble(s.load);
     out += ',';
     out += std::to_string(s.idle);
     out += ',';
     out += std::to_string(s.nest);
     out += ',';
-    out += FormatG17(s.warmth);
+    out += JsonDouble(s.warmth);
   }
   return out;
 }
 
 std::string DecisionJsonlRow(const DecisionRow& row, uint64_t decision,
                              const DecisionLabels& labels, int num_cpus) {
-  std::string out = "{\"decision\":";
-  out += std::to_string(decision);
-  out += ",\"machine\":";
-  AppendJsonString(out, labels.machine);
-  out += ",\"row\":";
-  AppendJsonString(out, labels.row);
-  out += ",\"variant\":";
-  AppendJsonString(out, labels.variant);
-  out += ",\"seed\":";
-  out += std::to_string(row.seed);
-  out += ",\"time_ns\":";
-  out += std::to_string(row.time_ns);
-  out += ",\"kind\":\"";
-  out += row.is_fork ? "fork" : "wake";
-  out += "\",\"tid\":";
-  out += std::to_string(row.tid);
-  out += ",\"prev_cpu\":";
-  out += std::to_string(row.prev_cpu);
-  out += ",\"runnable\":";
-  out += std::to_string(row.runnable);
-  out += ",\"chosen_cpu\":";
-  out += std::to_string(row.chosen_cpu);
-  out += ",\"path\":\"";
-  out += PlacementPathName(row.path);
-  out += "\",\"cores\":[";
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("decision").U64(decision);
+  w.Key("machine").String(labels.machine);
+  w.Key("row").String(labels.row);
+  w.Key("variant").String(labels.variant);
+  w.Key("seed").U64(row.seed);
+  w.Key("time_ns").I64(row.time_ns);
+  w.Key("kind").String(row.is_fork ? "fork" : "wake");
+  w.Key("tid").I64(row.tid);
+  w.Key("prev_cpu").I64(row.prev_cpu);
+  w.Key("runnable").I64(row.runnable);
+  w.Key("chosen_cpu").I64(row.chosen_cpu);
+  w.Key("path").String(PlacementPathName(row.path));
+  w.Key("cores").BeginArray();
   for (int cpu = 0; cpu < num_cpus; ++cpu) {
     const DecisionRow::CoreSample s = SampleOrZero(row, cpu);
-    if (cpu > 0) {
-      out += ',';
-    }
-    out += "{\"ghz\":";
-    out += FormatG17(s.ghz);
-    out += ",\"load\":";
-    out += FormatG17(s.load);
-    out += ",\"idle\":";
-    out += std::to_string(s.idle);
-    out += ",\"nest\":";
-    out += std::to_string(s.nest);
-    out += ",\"warmth\":";
-    out += FormatG17(s.warmth);
-    out += '}';
+    w.BeginObject();
+    w.Key("ghz").Double(s.ghz);
+    w.Key("load").Double(s.load);
+    w.Key("idle").I64(s.idle);
+    w.Key("nest").I64(s.nest);
+    w.Key("warmth").Double(s.warmth);
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

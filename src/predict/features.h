@@ -89,13 +89,11 @@ inline int RunnableBucket(int runnable) {
   return runnable < kRunnableBucketMax ? runnable : kRunnableBucketMax;
 }
 
-// %.17g: doubles round-trip bit-exactly through the text form.
-std::string FormatG17(double value);
-
 // CSV header for a per-core block of `num_cpus` logical CPUs.
 std::string DecisionCsvHeader(int num_cpus);
 
-// One CSV line (no trailing newline). `decision` is the stream-wide row
+// One CSV line (no trailing newline); doubles as JsonDouble's %.17g, so
+// they round-trip bit-exactly. `decision` is the stream-wide row
 // index; the per-core block is padded with zero samples to `num_cpus` so
 // multi-machine scenario exports stay rectangular.
 std::string DecisionCsvRow(const DecisionRow& row, uint64_t decision,

@@ -14,119 +14,37 @@ namespace nestsim {
 
 namespace {
 
-std::string FormatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void AppendString(std::string& out, const char* key, const std::string& value) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += JsonEscape(value);
-  out += '"';
-}
-
-void AppendU64(std::string& out, const char* key, uint64_t value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += std::to_string(value);
-}
-
-void AppendDouble(std::string& out, const char* key, double value) {
-  out += '"';
-  out += key;
-  out += "\":";
-  out += FormatDouble(value);
-}
-
 std::string BaselineJobRecord(const Job& job, const JobOutcome& outcome) {
-  std::string out = "{";
-  AppendString(out, "machine", job.config.machine);
-  out += ',';
-  AppendString(out, "row", job.workload);
-  out += ',';
-  AppendString(out, "variant", job.variant);
-  out += ',';
-  AppendString(out, "status", JobStatusName(outcome.status));
-  out += ',';
-  AppendDouble(out, "wall_s", outcome.wall_seconds);
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("machine").String(job.config.machine);
+  w.Key("row").String(job.workload);
+  w.Key("variant").String(job.variant);
+  w.Key("status").String(JobStatusName(outcome.status));
+  w.Key("wall_s").Double(outcome.wall_seconds);
   if (outcome.status == JobStatus::kFailed) {
-    out += ',';
-    AppendString(out, "error", outcome.message);
+    w.Key("error").String(outcome.message);
   }
   if (outcome.ok()) {
-    out += ",\"runs\":[";
+    w.Key("runs").BeginArray();
     for (size_t i = 0; i < outcome.result.runs.size(); ++i) {
       const ExperimentResult& r = outcome.result.runs[i];
-      if (i > 0) {
-        out += ',';
-      }
-      out += '{';
-      AppendU64(out, "seed", job.base_seed + i);
-      out += ',';
-      AppendU64(out, "makespan_ns", static_cast<uint64_t>(r.makespan));
-      out += ',';
-      AppendDouble(out, "energy_j", r.energy_joules);
-      out += ',';
-      AppendDouble(out, "underload_per_s", r.underload_per_s);
-      out += ',';
-      AppendU64(out, "context_switches", r.context_switches);
-      out += ',';
-      AppendU64(out, "migrations", r.migrations);
-      out += ',';
-      AppendU64(out, "tasks_created", static_cast<uint64_t>(r.tasks_created));
-      out += ',';
-      AppendString(out, "counters", SchedCountersDigest(r.counters));
-      if (job.config.record_latency) {
-        // Wakeup-latency tails are appended only when the scenario opted into
-        // recording them, so pre-predict goldens stay byte-identical.
-        out += ',';
-        AppendDouble(out, "wakeup_p50_us", r.p50_wakeup_latency_us);
-        out += ',';
-        AppendDouble(out, "wakeup_p99_us", r.p99_wakeup_latency_us);
-      }
-      if (r.cluster.num_machines > 0) {
-        // Cluster fields are appended only for cluster runs so single-machine
-        // goldens stay byte-identical to pre-cluster recordings.
-        out += ',';
-        AppendU64(out, "requests_offered", r.cluster.requests_offered);
-        out += ',';
-        AppendU64(out, "requests_completed", r.cluster.requests_completed);
-        out += ',';
-        AppendDouble(out, "latency_p50_ms", r.cluster.p50_ms);
-        out += ',';
-        AppendDouble(out, "latency_p99_ms", r.cluster.p99_ms);
-        out += ',';
-        AppendDouble(out, "latency_p999_ms", r.cluster.p999_ms);
-      }
-      if (r.resilience.any()) {
-        // Resilience fields are appended only when a fault, replica, or
-        // evacuation actually fired, so pre-fault goldens stay byte-identical.
-        out += ',';
-        AppendU64(out, "tasks_killed", r.resilience.tasks_killed);
-        out += ',';
-        AppendU64(out, "replicas_reaped", r.resilience.replicas_reaped);
-        out += ',';
-        AppendU64(out, "evacuations", r.resilience.evacuations);
-        out += ',';
-        AppendDouble(out, "work_lost_ms", r.resilience.work_lost_ms);
-        out += ',';
-        AppendDouble(out, "wasted_replica_ms", r.resilience.wasted_replica_ms);
-        out += ',';
-        AppendDouble(out, "mean_evac_latency_us", r.resilience.mean_evac_latency_us);
-        out += ',';
-        AppendU64(out, "requests_failed", r.resilience.requests_failed);
-        out += ',';
-        AppendU64(out, "requests_degraded", r.resilience.requests_degraded);
-      }
-      out += '}';
+      w.BeginObject();
+      w.Key("seed").U64(job.base_seed + i);
+      w.Key("makespan_ns").U64(static_cast<uint64_t>(r.makespan));
+      w.Key("energy_j").Double(r.energy_joules);
+      w.Key("underload_per_s").Double(r.underload_per_s);
+      w.Key("context_switches").U64(r.context_switches);
+      w.Key("migrations").U64(r.migrations);
+      w.Key("tasks_created").U64(static_cast<uint64_t>(r.tasks_created));
+      w.Key("counters").String(SchedCountersDigest(r.counters));
+      AppendRunBlocks(w, job.config, r);
+      w.EndObject();
     }
-    out += ']';
+    w.EndArray();
   }
-  out += '}';
+  w.EndObject();
   return out;
 }
 
@@ -134,7 +52,7 @@ std::string BaselineJobRecord(const Job& job, const JobOutcome& outcome) {
 // (exact round-trip), strings quoted.
 std::string Render(const JsonValue& v) {
   if (v.is_number()) {
-    return FormatDouble(v.number);
+    return JsonDouble(v.number);
   }
   if (v.is_string()) {
     return "\"" + v.string + "\"";
@@ -204,15 +122,15 @@ std::string BaselinePath(const std::string& dir, const std::string& scenario_nam
 }
 
 std::string BaselineJsonl(const ScenarioRun& run) {
-  std::string out = "{";
-  AppendString(out, "baseline", run.scenario.name);
-  out += ',';
-  AppendU64(out, "jobs", run.jobs.size());
-  out += ',';
-  AppendU64(out, "repetitions", static_cast<uint64_t>(run.repetitions));
-  out += ',';
-  AppendU64(out, "base_seed", run.base_seed);
-  out += "}\n";
+  std::string out;
+  JsonWriter(&out)
+      .BeginObject()
+      .Key("baseline").String(run.scenario.name)
+      .Key("jobs").U64(run.jobs.size())
+      .Key("repetitions").U64(static_cast<uint64_t>(run.repetitions))
+      .Key("base_seed").U64(run.base_seed)
+      .EndObject();
+  out += '\n';
   for (size_t i = 0; i < run.jobs.size(); ++i) {
     out += BaselineJobRecord(run.jobs[i], run.outcomes[i]);
     out += '\n';
@@ -333,9 +251,9 @@ BaselineCheck CheckBaseline(const ScenarioRun& run, const std::string& dir,
         const double band = wall_tolerance * std::max(wall->number, 1e-3);
         if (std::fabs(outcome.wall_seconds - wall->number) > band) {
           check.problems.push_back(id + ": wall_s outside tolerance: golden " +
-                                   FormatDouble(wall->number) + ", fresh " +
-                                   FormatDouble(outcome.wall_seconds) + " (band ±" +
-                                   FormatDouble(band) + ")");
+                                   JsonDouble(wall->number) + ", fresh " +
+                                   JsonDouble(outcome.wall_seconds) + " (band ±" +
+                                   JsonDouble(band) + ")");
         }
       }
       for (auto& [key, value] : fresh.members) {
@@ -354,36 +272,23 @@ std::string BaselineVerdictJson(const std::vector<BaselineCheck>& checks) {
   for (const BaselineCheck& c : checks) {
     all_ok = all_ok && c.ok();
   }
-  std::string out = "{\"ok\":";
-  out += all_ok ? "true" : "false";
-  out += ",\"scenarios\":[";
-  for (size_t i = 0; i < checks.size(); ++i) {
-    const BaselineCheck& c = checks[i];
-    if (i > 0) {
-      out += ',';
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("ok").Bool(all_ok).Key("scenarios").BeginArray();
+  for (const BaselineCheck& c : checks) {
+    w.BeginObject();
+    w.Key("scenario").String(c.scenario);
+    w.Key("baseline").String(c.baseline_path);
+    w.Key("jobs").U64(static_cast<uint64_t>(c.jobs));
+    w.Key("compared").U64(static_cast<uint64_t>(c.compared));
+    w.Key("ok").Bool(c.ok());
+    w.Key("problems").BeginArray();
+    for (const std::string& problem : c.problems) {
+      w.String(problem);
     }
-    out += '{';
-    AppendString(out, "scenario", c.scenario);
-    out += ',';
-    AppendString(out, "baseline", c.baseline_path);
-    out += ',';
-    AppendU64(out, "jobs", static_cast<uint64_t>(c.jobs));
-    out += ',';
-    AppendU64(out, "compared", static_cast<uint64_t>(c.compared));
-    out += ",\"ok\":";
-    out += c.ok() ? "true" : "false";
-    out += ",\"problems\":[";
-    for (size_t p = 0; p < c.problems.size(); ++p) {
-      if (p > 0) {
-        out += ',';
-      }
-      out += '"';
-      out += JsonEscape(c.problems[p]);
-      out += '"';
-    }
-    out += "]}";
+    w.EndArray().EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -25,14 +25,6 @@ Job SampleJob() {
   return job;
 }
 
-TEST(JsonEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(JobRecordJsonTest, OkRecordCarriesConfigAndMetrics) {
   ConfigureSpec spec = ConfigureWorkload::PackageSpec("gcc");
   spec.num_tests = 10;

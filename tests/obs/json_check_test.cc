@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 namespace nestsim {
 namespace {
 
@@ -140,6 +143,57 @@ TEST(JsonParseTest, TypeNamesAreStable) {
   EXPECT_STREQ(JsonTypeName(JsonValue::Type::kObject), "object");
   EXPECT_STREQ(JsonTypeName(JsonValue::Type::kArray), "array");
   EXPECT_STREQ(JsonTypeName(JsonValue::Type::kString), "string");
+}
+
+std::string Quoted(const std::string& s) {
+  std::string out;
+  JsonWriter(&out).String(s);
+  return out;
+}
+
+TEST(JsonWriterTest, EscapesSpecials) {
+  EXPECT_EQ(Quoted("plain"), "\"plain\"");
+  EXPECT_EQ(Quoted("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(Quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Quoted("a\nb\tc\r"), "\"a\\nb\\tc\\r\"");
+  EXPECT_EQ(Quoted("\b\f"), "\"\\b\\f\"");
+  EXPECT_EQ(Quoted(std::string(1, '\x01')), "\"\\u0001\"");
+  EXPECT_EQ(Quoted("\x1f"), "\"\\u001f\"");
+  EXPECT_EQ(Quoted("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 verbatim
+}
+
+TEST(JsonWriterTest, PlacesCommasAndNests) {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("a").U64(18446744073709551615ull);
+  w.Key("b").BeginArray().I64(-3).Bool(true).BeginObject().EndObject().BeginArray().EndArray();
+  w.EndArray();
+  w.Key("c").Raw("{\"x\":[1]}");
+  w.Key("d").Double(0.5).Key("e").String("");
+  w.EndObject();
+  EXPECT_EQ(out, R"({"a":18446744073709551615,"b":[-3,true,{},[]],"c":{"x":[1]},"d":0.5,"e":""})");
+  EXPECT_TRUE(JsonValid(out));
+}
+
+TEST(JsonWriterTest, AppendsToTheCallersString) {
+  std::string out = "prefix ";
+  JsonWriter(&out).BeginArray().U64(1).U64(2).EndArray();
+  EXPECT_EQ(out, "prefix [1,2]");
+}
+
+// %.17g: every finite double round-trips bit-exactly through JsonDouble, which
+// the writer, the decision CSV and the baseline problem messages share.
+TEST(JsonWriterTest, DoubleRoundTrips) {
+  const double values[] = {0.0,   1.0,   1.0 / 3.0, 0.1, 2.7062158723327507, 22.43671234567891,
+                           1406274.123, 1e-300, 12345.678901234567, 5.0e15, -0.0, 1.7976931348623157e308};
+  for (const double v : values) {
+    const std::string text = JsonDouble(v);
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    std::string out;
+    JsonWriter(&out).Double(v);
+    EXPECT_EQ(out, text);
+  }
 }
 
 }  // namespace

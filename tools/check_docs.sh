@@ -44,6 +44,15 @@ set -u
 cd "$(dirname "$0")/.."
 fail=0
 
+# require_keys <rule> <keys...>: a rule whose pattern extracts nothing would
+# pass vacuously (say, after the writer calls it greps for are renamed).
+require_keys() {
+  if [ "$#" -le 1 ]; then
+    echo "FAIL: rule $1 extracted no keys; its pattern no longer matches the source"
+    fail=1
+  fi
+}
+
 # 1. Environment variables.
 for var in $(grep -rhoE 'getenv\("NESTSIM_[A-Z_]+"\)' src examples tools \
                | sed 's/getenv("//; s/")//' | sort -u); do
@@ -89,9 +98,10 @@ for name in $(grep -ohE 'return "[a-z_]+"' src/kernel/task.h src/kernel/observer
   fi
 done
 
-# 5b. Counter JSON keys.
-for key in $(grep -ohE 'AppendU64\(out, "[a-z_]+"' src/obs/sched_counters.cc \
-               | sed 's/.*"\([a-z_]*\)"/\1/' | sort -u); do
+# 5b. Counter JSON keys: the JsonWriter Key("...") calls in SchedCountersJson.
+counter_keys=$(grep -ohE 'Key\("[a-z_]+"\)' src/obs/sched_counters.cc | sed 's/Key("//; s/")//' | sort -u)
+require_keys 5b $counter_keys
+for key in $counter_keys; do
   if ! grep -q "\`$key\`" docs/OBSERVABILITY.md; then
     echo "FAIL: counter key '$key' is emitted but not documented in docs/OBSERVABILITY.md"
     fail=1
@@ -210,8 +220,9 @@ for key in $(grep -ohE '\{"(cache|nest_cache)\.[a-z_]+", "(bool|string|number|in
     fi
   done
 done
-for key in $(grep -ohE 'AppendU64\(out, "cache_[a-z_]+"' src/obs/sched_counters.cc \
-               | sed 's/.*"\(cache_[a-z_]*\)"/\1/' | sort -u); do
+cache_keys=$(echo "$counter_keys" | grep '^cache_')
+require_keys 12 $cache_keys
+for key in $cache_keys; do
   for doc in docs/MODEL.md docs/SCENARIOS.md; do
     if ! grep -q "\`$key\`" "$doc"; then
       echo "FAIL: cache counter '$key' is not documented in $doc"
@@ -222,7 +233,8 @@ done
 
 # 13. The fault/energy reference is reachable, documents every fault-family
 #     config key the scenario parser accepts, and glosses every resilience
-#     field the JSONL sink can emit.
+#     field the JSONL sink and the goldens can emit (the resilience block of
+#     AppendRunBlocks in src/campaign/jsonl_sink.cc).
 for doc in README.md DESIGN.md; do
   if ! grep -q 'docs/FAULTS.md' "$doc"; then
     echo "FAIL: $doc does not link docs/FAULTS.md"
@@ -236,8 +248,10 @@ for key in $(grep -ohE '\{"((fault|power|nest_budget)\.[a-z_]+|replicas)", "(boo
     fail=1
   fi
 done
-for field in $(sed -n '/r.resilience.any()/,/^      }/p' src/campaign/jsonl_sink.cc \
-                 | grep -ohE 'AppendField\(out, "[a-z_]+"' | sed 's/.*"\([a-z_]*\)"/\1/' | sort -u); do
+resilience_fields=$(sed -n '/r.resilience.any()/,/^  }/p' src/campaign/jsonl_sink.cc \
+                      | grep -ohE 'Key\("[a-z_]+"\)' | sed 's/Key("//; s/")//' | sort -u)
+require_keys 13 $resilience_fields
+for field in $resilience_fields; do
   if ! grep -q "\`$field\`" docs/FAULTS.md; then
     echo "FAIL: resilience field '$field' is emitted by the JSONL sink but not documented in docs/FAULTS.md"
     fail=1
